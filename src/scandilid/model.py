@@ -556,11 +556,20 @@ def load_model(path: Path | str) -> FastModel:
     header_end = header_start + header_len
     try:
         header = json.loads(data[header_start:header_end].decode("utf-8"))
-        fcfg = FeaturizerConfig(**header["featurizer"])
+        featurizer = header["featurizer"]
         threshold = header["threshold"]
         label_order = header["label_order"]
         hidden = header["hidden_size"]
-    except (KeyError, TypeError, ValueError, UnicodeDecodeError) as e:
+        # Exact type checks, because bool is a subclass of int; a float or
+        # string field would otherwise fail later, outside this error path.
+        for name, value in featurizer.items():
+            kind = bool if name == "include_word_unigrams" else int
+            if type(value) is not kind:
+                raise TypeError(f"featurizer {name} must be {kind.__name__}, got {value!r}")
+        if type(threshold) not in (int, float):
+            raise TypeError(f"threshold must be a number, got {threshold!r}")
+        fcfg = FeaturizerConfig(**featurizer)
+    except (AttributeError, KeyError, TypeError, ValueError, UnicodeDecodeError) as e:
         raise ModelFormatError(f"{path}: bad header: {e}") from None
     if hidden != HIDDEN_SIZE:
         raise ModelFormatError(f"{path}: unsupported hidden size {hidden} (expected {HIDDEN_SIZE})")
@@ -589,4 +598,7 @@ def load_model(path: Path | str) -> FastModel:
         )
         offset += 4 * count
     emb, w1, b1, w2, b2 = arrays
-    return FastModel(fcfg, emb, w1, b1, w2, b2, threshold=threshold)
+    try:
+        return FastModel(fcfg, emb, w1, b1, w2, b2, threshold=threshold)
+    except ValueError as e:
+        raise ModelFormatError(f"{path}: bad model: {e}") from None

@@ -9,6 +9,19 @@ replaced. Items labeled `other` are never extended.
 
 Translations arrive as external records; any MT system can produce
 them, either as JSONL files or through the shell-command plug-in.
+
+The plug-in contract: the command is run through the shell and reads
+request lines ``<target-tag>\\t<source-text>\\n`` from stdin until EOF,
+then writes one ``\\n``-terminated translation line per request, in
+request order, and exits with status 0. Source texts arrive with every
+whitespace run collapsed to one space, so each request is exactly one
+line whatever characters the text holds; the comparison ignores
+whitespace, so no match is lost. A silver-labelling pass sends all of
+its requests to one process and reads its output only after writing
+them all, so a translator may buffer its output. A pass whose process
+exits non-zero or answers with the wrong number of lines is retried one
+record per process, and each record that still fails is counted and
+skipped.
 """
 
 from __future__ import annotations
@@ -151,23 +164,27 @@ def write_translation_records(records: Iterable[TranslationRecord], path: Path |
             )
 
 
-def translate_command(command: str, target: Language, text: str) -> str | None:
-    """Run one plug-in translation; None marks the record failed.
-
-    Contract: the command reads one line ``<target-tag>\\t<source-text>``
-    on stdin and writes the translation as one line on stdout. A
-    non-zero exit status fails the record.
-    """
+def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> str | None:
+    """Write every request to one translator process, then read its stdout
+    to EOF; None if the process exited non-zero."""
+    payload = "".join(f"{target.value}\t{' '.join(text.split())}\n" for target, text in requests)
     completed = subprocess.run(
-        command,
-        shell=True,
-        input=f"{target.value}\t{text}\n",
-        capture_output=True,
-        text=True,
+        command, shell=True, input=payload.encode("utf-8"), capture_output=True
     )
     if completed.returncode != 0:
         return None
-    return completed.stdout.splitlines()[0] if completed.stdout else ""
+    return completed.stdout.decode("utf-8")
+
+
+def translate_command(command: str, target: Language, text: str) -> str | None:
+    """Run one plug-in translation in its own process; None marks the record failed.
+
+    The translation is the first ``\\n``-terminated line of the output
+    (all of it if it has no ``\\n``); see the module docstring for the
+    contract.
+    """
+    stdout = _run_translator(command, [(target, text)])
+    return None if stdout is None else stdout.split("\n", 1)[0]
 
 
 def generate_translations(
@@ -176,22 +193,35 @@ def generate_translations(
     """Translate every eligible item into every missing target via the plug-in.
 
     Items labeled `other` and targets an item already carries are
-    skipped (the latter could only re-add an existing label). Returns
-    the records plus the count of failed plug-in invocations.
+    skipped (the latter could only re-add an existing label). All
+    requests go to one translator process, item by item and target by
+    target within an item; if that process fails, each request is
+    retried in a process of its own. Returns the records plus the count
+    of requests that failed.
     """
-    records: list[TranslationRecord] = []
-    failures = 0
-    for index, item in enumerate(dataset):
-        if item.labels.is_other:
-            continue
-        for target in targets:
-            if target in item.labels:
-                continue
-            translation = translate_command(command, target, item.text)
-            if translation is None:
-                failures += 1
-                continue
-            records.append(TranslationRecord(index, target, translation))
+    requests = [
+        (index, target)
+        for index, item in enumerate(dataset)
+        if not item.labels.is_other
+        for target in targets
+        if target not in item.labels
+    ]
+    if not requests:
+        return [], 0
+    stdout = _run_translator(command, [(target, dataset[i].text) for i, target in requests])
+    translations = None if stdout is None else stdout.split("\n")
+    if translations is None or translations.pop() != "" or len(translations) != len(requests):
+        logger.warning(
+            "translator command failed on a pass of %d request(s); retrying one per process",
+            len(requests),
+        )
+        translations = [translate_command(command, target, dataset[i].text) for i, target in requests]
+    records = [
+        TranslationRecord(index, target, translation)
+        for (index, target), translation in zip(requests, translations)
+        if translation is not None
+    ]
+    failures = len(requests) - len(records)
     if failures:
         logger.warning("translator command failed on %d record(s); skipped", failures)
     return records, failures

@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -350,6 +353,41 @@ def test_load_rejects_tiny_file(tmp_path):
     path = tmp_path / "m.slfx"
     path.write_bytes(MODEL_MAGIC)
     with pytest.raises(ModelFormatError, match="too short"):
+        load_model(path)
+
+
+def rewrite_model_file(path, edit):
+    """Let ``edit(header, arrays)`` change a saved model, then re-frame it with a valid CRC."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 6)
+    header = json.loads(data[10 : 10 + header_len])
+    arrays = bytearray(data[10 + header_len : -4])
+    edit(header, arrays)
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = data[:6] + struct.pack("<I", len(header_bytes)) + header_bytes + bytes(arrays)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def nan_last_weight(header, arrays):
+    arrays[-4:] = struct.pack("<f", math.nan)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda header, arrays: header.update(threshold="0.5"),
+        # The same width as a float, so the array section still has the right size.
+        lambda header, arrays: header["featurizer"].update(embed_dim=8.0),
+        lambda header, arrays: header.update(threshold=True),
+        nan_last_weight,
+    ],
+    ids=["threshold-string", "embed-dim-float", "threshold-bool", "nan-weight"],
+)
+def test_load_rejects_malformed_model_with_valid_crc(tmp_path, edit):
+    path = tmp_path / "m.slfx"
+    save_model(random_model(), path)
+    rewrite_model_file(path, edit)
+    with pytest.raises(ModelFormatError):
         load_model(path)
 
 

@@ -191,3 +191,120 @@ def test_generate_translations_counts_failures():
     records, failures = generate_translations(d, [Language.NB], "false")
     assert records == []
     assert failures == 2
+
+
+def per_record_translations(dataset, targets, command):
+    """Reference: one translator process per (item, target) request."""
+    records, failures = [], 0
+    for index, item in enumerate(dataset):
+        if item.labels.is_other:
+            continue
+        for target in targets:
+            if target in item.labels:
+                continue
+            translation = translate_command(command, target, item.text)
+            if translation is None:
+                failures += 1
+            else:
+                records.append(TranslationRecord(index, target, translation))
+    return records, failures
+
+
+def counting_command(tmp_path, monkeypatch):
+    """An identity translator that appends a line to a file each time it starts."""
+    starts = tmp_path / "starts"
+    monkeypatch.setenv("STARTS", str(starts))
+    return starts, 'echo >> "$STARTS"; cut -f2-'
+
+
+def test_translation_keeps_unicode_line_separators():
+    d = Dataset(
+        "train",
+        (
+            LabeledSentence("hej\u2028der", LabelSet.of("da")),
+            LabeledSentence("hej\x85der", LabelSet.of("da")),
+        ),
+    )
+    records, failures = generate_translations(d, [Language.NB], "cut -f2-")
+    assert failures == 0
+    out, summary = extend_labels(d, records)
+    assert summary.matches == 2
+    assert [item.labels for item in out] == [LabelSet.of("da", "nb")] * 2
+    translation = translate_command("cut -f2-", Language.NB, "hej\u2028der")
+    assert canonical_compare(translation, "hej\u2028der")
+
+
+def test_one_translator_process_per_pass(tmp_path, monkeypatch):
+    starts, command = counting_command(tmp_path, monkeypatch)
+    d = Dataset(
+        "train",
+        tuple(LabeledSentence(f"Jeg har plan {i}.", LabelSet.of("da")) for i in range(3)),
+    )
+    records, failures = generate_translations(d, [Language.NB, Language.SV], command)
+    assert starts.read_text().count("\n") == 1
+    assert failures == 0
+    assert [(r.item_index, r.target) for r in records] == [
+        (i, t) for i in range(3) for t in (Language.NB, Language.SV)
+    ]
+    assert all(r.translation == d[r.item_index].text for r in records)
+
+
+def test_empty_pass_starts_no_translator(tmp_path, monkeypatch):
+    starts, command = counting_command(tmp_path, monkeypatch)
+    d = Dataset(
+        "train",
+        (
+            LabeledSentence("Das ist deutsch.", LabelSet.of("other")),
+            LabeledSentence("Jeg har en plan.", LabelSet.of("da", "nb")),
+        ),
+    )
+    assert generate_translations(d, [Language.NB], command) == ([], 0)
+    assert not starts.exists()
+
+
+# Fails the whole process on the first request that mentions `bad`.
+FAIL_ON_BAD = "awk -F '\\t' '/bad/ { exit 1 } { print $2 }'"
+
+
+def mixed_dataset():
+    return Dataset(
+        "train",
+        (
+            LabeledSentence("Jeg har en plan.", LabelSet.of("da")),
+            LabeledSentence("Det er bad nyt.", LabelSet.of("da")),
+            LabeledSentence("Das ist deutsch.", LabelSet.of("other")),
+            LabeledSentence("Vi  ses i\tmorgen.", LabelSet.of("da", "nb")),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "cut -f2-",
+        "false",
+        FAIL_ON_BAD,
+        # Answers only the first request, so a pass has too few lines.
+        "head -n 1 | cut -f2-",
+        # Answers every request twice, so a pass has too many lines.
+        "cut -f2- | sed p",
+        # Answers without the final newline.
+        "cut -f2- | tr -d '\\n'",
+    ],
+)
+def test_pass_matches_per_record_path(command):
+    d = mixed_dataset()
+    targets = [Language.NB, Language.SV]
+    assert generate_translations(d, targets, command) == per_record_translations(d, targets, command)
+
+
+def test_failing_requests_are_retried_one_per_process():
+    records, failures = generate_translations(
+        mixed_dataset(), [Language.NB, Language.SV], FAIL_ON_BAD
+    )
+    assert [(r.item_index, r.target) for r in records] == [
+        (0, Language.NB),
+        (0, Language.SV),
+        (3, Language.SV),
+    ]
+    assert failures == 2
