@@ -8,19 +8,34 @@ buckets with 64-bit FNV-1a over the gram's UTF-8 bytes.
 
 The featurizer is definitionally a multiset: repeated grams repeat in
 the output, and downstream mean-pooling makes the representation
-independent of gram order.
+independent of gram order. The order is nevertheless fixed: token by
+token, then n ascending, then start ascending, with the whole token
+last.
+
+Natural text repeats tokens heavily, so ``featurize`` keeps, for each
+(min_n, max_n, bucket_count, include_word_unigrams), a cache of up to
+``_CACHE_TOKENS`` (2^18) tokens, each mapped to its bucket ids as int64
+bytes; when a cache is full, its oldest token is evicted. The tokens of
+one call that miss the cache are hashed together in one numpy pass: an
+FNV-1a chain starts at every byte of the joined wrapped tokens, and all
+chains advance one byte per step, for as many steps as the longest
+n-gram has bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A
+gram's hash is then the state of the chain at its first byte after its
+last byte. A whole token's chain is finished from there byte by byte.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_PRIME = np.uint64(FNV_PRIME)
 
 HIDDEN_SIZE = 64
 N_OUTPUTS = 4
@@ -62,21 +77,61 @@ class FeaturizerConfig:
         return cls(**overrides)
 
 
-@lru_cache(maxsize=1 << 18)
-def _token_gram_hashes(
-    token: str, min_n: int, max_n: int, include_word_unigram: bool
-) -> tuple[int, ...]:
-    # Cached per token: natural text repeats tokens heavily, and the
-    # cache key is independent of bucket_count.
-    wrapped = f"<{token}>"
-    length = len(wrapped)
-    hashes = []
-    for n in range(min_n, max_n + 1):
-        for i in range(length - n + 1):
-            hashes.append(fnv1a64(wrapped[i : i + n].encode("utf-8")))
-    if include_word_unigram:
-        hashes.append(fnv1a64(wrapped.encode("utf-8")))
-    return tuple(hashes)
+# Tokens kept per featurizer configuration.
+_CACHE_TOKENS = 1 << 18
+_caches: dict[tuple[int, int, int, bool], OrderedDict[str, bytes]] = {}
+
+
+def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
+    """Masked bucket ids of every token, each as int64 bytes in featurize order."""
+    lens = np.fromiter(map(len, tokens), np.int64, len(tokens)) + 2  # characters, wrapped
+    joined = "".join(f"<{t}>" for t in tokens).encode("utf-8")
+    size = len(joined)
+    # Zero padding lets every chain take 4 * max_n steps, the most bytes an
+    # n-gram can have; the first pad byte also marks where the last
+    # character ends.
+    data = np.frombuffer(joined + bytes(4 * cfg.max_n), np.uint8).astype(np.uint64)
+    edges = np.flatnonzero((data[: size + 1] & 0xC0) != 0x80)  # character -> byte offset
+    tok_end = lens.cumsum()
+    tok_of_char = np.arange(len(tokens)).repeat(lens)
+    rest = tok_end[tok_of_char] - np.arange(tok_end[-1])  # characters left in the token
+
+    # Every n-gram as (n, first character), put in featurize order: token
+    # by token, then n ascending, then start ascending.
+    ns = np.arange(cfg.min_n, cfg.max_n + 1)
+    n_index, start = (rest >= ns[:, None]).nonzero()
+    tok = tok_of_char[start]
+    order = tok.argsort(kind="stable")
+    tok, n_index, start = tok[order], n_index[order], start[order]
+    first = edges[start]
+    span = edges[start + ns[n_index]] - first
+
+    # states[s, p]: the chain started at byte p after s bytes. Chains
+    # start at every byte; those at continuation bytes are never read.
+    steps = int(span.max()) if span.size else 0
+    states = np.empty((steps + 1, size), np.uint64)
+    states[0] = FNV_OFFSET
+    for s in range(steps):
+        row = states[s + 1]
+        np.bitwise_xor(states[s], data[s : s + size], out=row)
+        np.multiply(row, _PRIME, out=row)
+    flat = states.ravel()
+    mask = cfg.bucket_count - 1
+    buf = (flat[span * size + first] & np.uint64(mask)).astype(np.int64).tobytes()
+    bounds = (np.bincount(tok, minlength=len(tokens)).cumsum() * 8).tolist()
+    out = [buf[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+    if cfg.include_word_unigrams:
+        # A whole token continues its first byte's chain past the longest
+        # n-gram: a few bytes per word, cheaper one token at a time than as
+        # more steps over every chain.
+        ends = edges[tok_end].tolist()
+        for k, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+            reach = min(hi - lo, steps)
+            h = flat.item(reach * size + lo)
+            for byte in joined[lo + reach : hi]:
+                h = ((h ^ byte) * FNV_PRIME) & _MASK64
+            out[k] += (h & mask).to_bytes(8, sys.byteorder)
+    return out
 
 
 def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
@@ -85,13 +140,21 @@ def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
     The text is split on whitespace; it is expected to be already
     normalized/lowercased by the pipeline. Empty text gives an empty
     array. bucket = hash mod bucket_count; the mask is equivalent
-    because bucket_count is a power of two.
+    because bucket_count is a power of two. Safe to call from several
+    threads.
     """
-    mask = cfg.bucket_count - 1
-    hashes: list[int] = []
-    for token in text.split():
-        hashes.extend(
-            _token_gram_hashes(token, cfg.min_n, cfg.max_n, cfg.include_word_unigrams)
-        )
-    ids = np.fromiter((h & mask for h in hashes), dtype=np.int64, count=len(hashes))
-    return ids
+    key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
+    cache = _caches.get(key)
+    if cache is None:
+        cache = _caches.setdefault(key, OrderedDict())
+    tokens = text.split()
+    # Each token's ids are read once, here: another thread may evict them.
+    parts = [cache.get(token) for token in tokens]
+    if None in parts:
+        missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
+        fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
+        parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
+        cache.update(fresh)
+        while len(cache) > _CACHE_TOKENS:
+            cache.popitem(last=False)
+    return np.frombuffer(bytearray().join(parts), np.int64)

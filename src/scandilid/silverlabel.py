@@ -19,9 +19,10 @@ line whatever characters the text holds; the comparison ignores
 whitespace, so no match is lost. A silver-labelling pass sends all of
 its requests to one process and reads its output only after writing
 them all, so a translator may buffer its output. A pass whose process
-exits non-zero or answers with the wrong number of lines is retried one
-record per process, and each record that still fails is counted and
-skipped.
+exits non-zero, writes output that is not UTF-8, or answers with the
+wrong number of lines is split in halves and each half retried as a pass
+of its own, down to one record per process; each record that still fails
+is counted and skipped.
 """
 
 from __future__ import annotations
@@ -166,14 +167,17 @@ def write_translation_records(records: Iterable[TranslationRecord], path: Path |
 
 def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> str | None:
     """Write every request to one translator process, then read its stdout
-    to EOF; None if the process exited non-zero."""
+    to EOF; None if the process exited non-zero or its output is not UTF-8."""
     payload = "".join(f"{target.value}\t{' '.join(text.split())}\n" for target, text in requests)
     completed = subprocess.run(
         command, shell=True, input=payload.encode("utf-8"), capture_output=True
     )
     if completed.returncode != 0:
         return None
-    return completed.stdout.decode("utf-8")
+    try:
+        return completed.stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def translate_command(command: str, target: Language, text: str) -> str | None:
@@ -187,6 +191,23 @@ def translate_command(command: str, target: Language, text: str) -> str | None:
     return None if stdout is None else stdout.split("\n", 1)[0]
 
 
+def _translate_pass(command: str, requests: list[tuple[Language, str]]) -> list[str | None]:
+    """One translation (or None) per request. A failed pass is split in
+    halves, each retried as its own pass, so k bad requests among N cost
+    O(k log N) processes; a single request goes through translate_command."""
+    if len(requests) == 1:
+        return [translate_command(command, *requests[0])]
+    stdout = _run_translator(command, requests)
+    translations = None if stdout is None else stdout.split("\n")
+    if translations is not None and translations.pop() == "" and len(translations) == len(requests):
+        return translations
+    logger.debug(
+        "translator command failed on a pass of %d request(s); retrying in halves", len(requests)
+    )
+    half = len(requests) // 2
+    return _translate_pass(command, requests[:half]) + _translate_pass(command, requests[half:])
+
+
 def generate_translations(
     dataset: Dataset, targets: Sequence[Language], command: str
 ) -> tuple[list[TranslationRecord], int]:
@@ -195,9 +216,9 @@ def generate_translations(
     Items labeled `other` and targets an item already carries are
     skipped (the latter could only re-add an existing label). All
     requests go to one translator process, item by item and target by
-    target within an item; if that process fails, each request is
-    retried in a process of its own. Returns the records plus the count
-    of requests that failed.
+    target within an item; if that process fails, the requests are
+    retried in halves, down to a process of their own. Returns the
+    records plus the count of requests that failed.
     """
     requests = [
         (index, target)
@@ -208,14 +229,7 @@ def generate_translations(
     ]
     if not requests:
         return [], 0
-    stdout = _run_translator(command, [(target, dataset[i].text) for i, target in requests])
-    translations = None if stdout is None else stdout.split("\n")
-    if translations is None or translations.pop() != "" or len(translations) != len(requests):
-        logger.warning(
-            "translator command failed on a pass of %d request(s); retrying one per process",
-            len(requests),
-        )
-        translations = [translate_command(command, target, dataset[i].text) for i, target in requests]
+    translations = _translate_pass(command, [(target, dataset[i].text) for i, target in requests])
     records = [
         TranslationRecord(index, target, translation)
         for (index, target), translation in zip(requests, translations)

@@ -1,8 +1,14 @@
+import json
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scandilid import features
 from scandilid.features import (
     REFERENCE_HEAD_EMBED_DIM,
     FeaturizerConfig,
@@ -33,10 +39,20 @@ def enumerate_grams(text: str, min_n: int, max_n: int, include_word: bool) -> li
 
 
 def oracle_ids(text: str, cfg: FeaturizerConfig) -> list[int]:
-    return sorted(
+    # In featurize's order: token by token, n ascending, start ascending,
+    # whole token last.
+    return [
         reference_fnv(g.encode("utf-8")) % cfg.bucket_count
         for g in enumerate_grams(text, cfg.min_n, cfg.max_n, cfg.include_word_unigrams)
-    )
+    ]
+
+
+@pytest.fixture
+def small_cache(monkeypatch):
+    """An empty token cache that holds at most 64 tokens per configuration."""
+    monkeypatch.setattr(features, "_caches", {})
+    monkeypatch.setattr(features, "_CACHE_TOKENS", 64)
+    return features._caches
 
 
 def test_fnv_published_vectors():
@@ -67,7 +83,7 @@ def test_gram_count_for_two_short_tokens():
 
 
 @given(
-    st.text(alphabet="abыæøå <", max_size=40),
+    st.text(alphabet="abыæøå <⟨€😀", max_size=40),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=3),
     st.booleans(),
@@ -79,7 +95,7 @@ def test_featurize_matches_brute_force_oracle(text, min_n, extra, include_word):
         bucket_count=1 << 12,
         include_word_unigrams=include_word,
     )
-    assert sorted(featurize(text, cfg).tolist()) == oracle_ids(text, cfg)
+    assert featurize(text, cfg).tolist() == oracle_ids(text, cfg)
 
 
 def test_determinism():
@@ -128,3 +144,90 @@ def test_reference_head_preset():
     smaller = FeaturizerConfig.reference_head(bucket_count=1 << 10)
     assert smaller.embed_dim == REFERENCE_HEAD_EMBED_DIM
     assert smaller.bucket_count == 1 << 10
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "featurize_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("config_name", sorted(GOLDEN["configs"]))
+def test_featurize_matches_golden_fixture(config_name, small_cache):
+    # Exact ids in exact order, captured from the per-gram fnv1a64
+    # implementation; order matters because pooling sums in it. The
+    # texts cover 1- to 4-byte UTF-8 characters and a combining mark.
+    cfg = FeaturizerConfig(**GOLDEN["configs"][config_name])
+    expected = GOLDEN["ids"][config_name]
+    for _ in ("cold", "warm"):
+        got = [featurize(text, cfg).tolist() for text in GOLDEN["texts"]]
+        assert got == expected
+
+
+def test_cache_never_exceeds_capacity(small_cache):
+    cfg = FeaturizerConfig()
+    for i in range(50):
+        featurize(" ".join(f"ord{i}x{j}" for j in range(7)), cfg)
+        assert all(len(cache) <= 64 for cache in small_cache.values())
+    assert len(small_cache[(1, 4, 1 << 18, True)]) == 64
+
+
+def test_evicted_token_returns_identical_ids(small_cache):
+    cfg = FeaturizerConfig()
+    first = featurize("første ⟨num⟩ 😀", cfg).tolist()
+    featurize(" ".join(f"fyll{i}" for i in range(200)), cfg)
+    cache = small_cache[(1, 4, 1 << 18, True)]
+    assert "første" not in cache
+    assert featurize("første ⟨num⟩ 😀", cfg).tolist() == first
+    assert first == oracle_ids("første ⟨num⟩ 😀", cfg)
+
+
+def test_configs_differing_in_bucket_count_never_share_entries(small_cache):
+    wide = FeaturizerConfig(bucket_count=1 << 18)
+    narrow = FeaturizerConfig(bucket_count=1 << 6)
+    text = "samme ord i begge"
+    assert featurize(text, wide).tolist() == oracle_ids(text, wide)
+    assert featurize(text, narrow).tolist() == oracle_ids(text, narrow)
+    assert featurize(text, wide).tolist() == oracle_ids(text, wide)
+    assert len(small_cache) == 2
+
+
+def test_mutating_a_result_leaves_later_results_unchanged(small_cache):
+    cfg = FeaturizerConfig()
+    expected = oracle_ids("hej hej med dig", cfg)
+    ids = featurize("hej hej med dig", cfg)
+    ids[:] = -1
+    assert featurize("hej hej med dig", cfg).tolist() == expected
+    featurize("hej", cfg)[:] = 7
+    assert featurize("hej hej med dig", cfg).tolist() == expected
+
+
+def test_concurrent_featurize_with_evicting_cache(small_cache):
+    # Four threads share a 64-token cache and keep filling it with new
+    # tokens, so tokens a call looked up are evicted before it joins them.
+    cfg = FeaturizerConfig()
+    texts = [
+        " ".join(f"ord{t}ø{i}x{j} fælles{j % 3}" for j in range(6)) for t in range(4) for i in range(150)
+    ]
+    expected = {text: oracle_ids(text, cfg) for text in texts}
+    errors = []
+
+    def work(offset):
+        try:
+            for text in texts[offset::4]:
+                if featurize(text, cfg).tolist() != expected[text]:
+                    errors.append(text)
+        except Exception as e:  # reported through `errors`
+            errors.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -210,11 +210,11 @@ def per_record_translations(dataset, targets, command):
     return records, failures
 
 
-def counting_command(tmp_path, monkeypatch):
-    """An identity translator that appends a line to a file each time it starts."""
+def counting_command(tmp_path, monkeypatch, translator="cut -f2-"):
+    """A translator (identity by default) that appends a line to a file each time it starts."""
     starts = tmp_path / "starts"
     monkeypatch.setenv("STARTS", str(starts))
-    return starts, 'echo >> "$STARTS"; cut -f2-'
+    return starts, f'echo >> "$STARTS"; {translator}'
 
 
 def test_translation_keeps_unicode_line_separators():
@@ -290,6 +290,8 @@ def mixed_dataset():
         "cut -f2- | sed p",
         # Answers without the final newline.
         "cut -f2- | tr -d '\\n'",
+        # Answers `bad` requests with a byte that is not UTF-8.
+        "cut -f2- | sed 's/bad/\\xff/'",
     ],
 )
 def test_pass_matches_per_record_path(command):
@@ -308,3 +310,32 @@ def test_failing_requests_are_retried_one_per_process():
         (3, Language.SV),
     ]
     assert failures == 2
+
+
+def test_undecodable_output_fails_only_its_record():
+    records, failures = generate_translations(
+        mixed_dataset(), [Language.NB, Language.SV], "cut -f2- | sed 's/bad/\\xff/'"
+    )
+    assert [(r.item_index, r.target) for r in records] == [
+        (0, Language.NB),
+        (0, Language.SV),
+        (3, Language.SV),
+    ]
+    assert failures == 2
+    assert translate_command("printf '\\377\\n'", Language.NB, "x") is None
+
+
+def test_one_bad_request_costs_logarithmic_spawns(tmp_path, monkeypatch):
+    starts, command = counting_command(tmp_path, monkeypatch, FAIL_ON_BAD)
+    d = Dataset(
+        "train",
+        tuple(
+            LabeledSentence("Det er bad nyt." if i == 5 else f"Jeg har plan {i}.", LabelSet.of("da"))
+            for i in range(16)
+        ),
+    )
+    records, failures = generate_translations(d, [Language.NB], command)
+    # The whole pass, then two halves at each of four levels: 16, 8, 4, 2, 1.
+    assert starts.read_text().count("\n") == 1 + 2 * 4
+    assert failures == 1
+    assert [r.item_index for r in records] == [i for i in range(16) if i != 5]
