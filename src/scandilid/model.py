@@ -11,6 +11,12 @@ Training is plain minibatch gradient descent (momentum on the dense
 head only) on the mean binary cross-entropy of the four outputs.
 Weights are stored as float32; training and loss accumulation run in
 float64 so the analytic gradients verify against finite differences.
+
+Serving, the training loss, backprop, validation and the gradient
+check share one forward path: `_pool` averages a sentence's embedding
+rows and `_layers` applies the head to one pooled vector or a batch of
+them. The parameter arrays have one layout, `_ARRAY_NAMES` in the
+shapes of `_shapes`, used by `FastModel`, training and the model file.
 """
 
 from __future__ import annotations
@@ -45,7 +51,22 @@ class TrainingError(RuntimeError):
     """Training hit a non-recoverable numeric condition."""
 
 
-@dataclass
+_ARRAY_NAMES = ("embeddings", "w1", "b1", "w2", "b2")
+
+
+def _shapes(cfg: FeaturizerConfig) -> list[tuple[int, ...]]:
+    """Shapes of the parameter arrays, in `_ARRAY_NAMES` order."""
+    dim = cfg.embed_dim
+    return [
+        (cfg.bucket_count, dim),
+        (HIDDEN_SIZE, dim),
+        (HIDDEN_SIZE,),
+        (N_OUTPUTS, HIDDEN_SIZE),
+        (N_OUTPUTS,),
+    ]
+
+
+@dataclass(frozen=True)
 class FastModel:
     """Immutable trained classifier; safe to share across threads."""
 
@@ -58,21 +79,15 @@ class FastModel:
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        dim = self.featurizer.embed_dim
-        expected = {
-            "embeddings": (self.featurizer.bucket_count, dim),
-            "w1": (HIDDEN_SIZE, dim),
-            "b1": (HIDDEN_SIZE,),
-            "w2": (N_OUTPUTS, HIDDEN_SIZE),
-            "b2": (N_OUTPUTS,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
+        for name, shape in zip(_ARRAY_NAMES, _shapes(self.featurizer)):
+            # Cast before the finiteness check: a finite float64 beyond
+            # the float32 range becomes inf here, and must be rejected.
+            with np.errstate(over="ignore"):
+                arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-            arr = np.ascontiguousarray(arr, dtype=np.float32)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not 0.0 < self.threshold < 1.0:
@@ -80,48 +95,55 @@ class FastModel:
 
     def head_parameter_count(self) -> int:
         """Dense-head parameters; the embedding table is not counted."""
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
+        return head_parameter_count(self.featurizer)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
     """Head size implied by a featurizer config, without building a model."""
-    dim = cfg.embed_dim
-    return HIDDEN_SIZE * dim + HIDDEN_SIZE + N_OUTPUTS * HIDDEN_SIZE + N_OUTPUTS
+    return sum(int(np.prod(shape)) for shape in _shapes(cfg)[1:])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive number never overflows; both branches of the
+    # stable form share ez = exp(-|z|).
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
-def _embed_one(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean of the embedding rows of one sentence's grams, in float64."""
     if ids.size == 0:
-        return np.zeros(table.shape[1], dtype=np.float64)
-    return table[ids].mean(axis=0, dtype=np.float64)
+        return np.zeros(emb.shape[1], dtype=np.float64)
+    return emb[ids].mean(axis=0, dtype=np.float64)
+
+
+def _layers(params: Sequence[np.ndarray], e: np.ndarray):
+    """Hidden pre-activation z1, hidden activation h and output logits z2
+    for one pooled vector (1-D) or a batch of them (2-D, one per row)."""
+    _, w1, b1, w2, b2 = params
+    z1 = e @ w1.T + b1
+    h = np.maximum(z1, 0.0)
+    return z1, h, h @ w2.T + b2
+
+
+def _decode(accept_row: np.ndarray) -> LabelSet:
+    """The languages whose output reached the threshold; `other` if none did."""
+    chosen = [lang for lang, accepted in zip(OUTPUT_ORDER, accept_row.tolist()) if accepted]
+    return LabelSet(frozenset(chosen)) if chosen else LabelSet.of(Language.OTHER)
 
 
 def forward(model: FastModel, text: str) -> np.ndarray:
     """Probabilities for (da, nb, nn, sv); empty text uses the zero embedding."""
-    ids = featurize(text, model.featurizer)
-    e = _embed_one(model.embeddings, ids)
-    h = np.maximum(model.w1 @ e + model.b1, 0.0)
-    p = _sigmoid(model.w2 @ h + model.b2)
+    e = _pool(model.embeddings, featurize(text, model.featurizer))
+    _, _, z2 = _layers((model.embeddings, model.w1, model.b1, model.w2, model.b2), e)
     # Keep the contract of strictly open (0,1) even where float64
     # sigmoid saturates.
-    return np.clip(p, 1e-15, 1.0 - 1e-15)
+    return np.clip(_sigmoid(z2), 1e-15, 1.0 - 1e-15)
 
 
 def predict(model: FastModel, text: str) -> LabelSet:
     """Languages whose probability reaches the threshold; `other` if none do."""
-    p = forward(model, text)
-    chosen = [OUTPUT_ORDER[i] for i in range(N_OUTPUTS) if p[i] >= model.threshold]
-    if not chosen:
-        return LabelSet.of(Language.OTHER)
-    return LabelSet(frozenset(chosen))
+    return _decode(forward(model, text) >= model.threshold)
 
 
 def predict_top1(model: FastModel, text: str) -> Language:
@@ -143,34 +165,20 @@ def targets_for(labels: LabelSet) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Training internals (float64 throughout)
+# Training internals (float64 throughout; parameters are a list of
+# arrays in `_ARRAY_NAMES` order)
 
 
-@dataclass
-class _Params:
-    emb: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def copy(self) -> "_Params":
-        return _Params(*(a.copy() for a in (self.emb, self.w1, self.b1, self.w2, self.b2)))
-
-
-def _init_params(fcfg: FeaturizerConfig, rng: np.random.Generator) -> _Params:
+def _init_params(fcfg: FeaturizerConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    emb_shape, w1_shape, b1_shape, w2_shape, b2_shape = _shapes(fcfg)
     dim = fcfg.embed_dim
-    return _Params(
-        emb=rng.uniform(-1.0 / dim, 1.0 / dim, size=(fcfg.bucket_count, dim)),
-        w1=rng.uniform(-1.0, 1.0, size=(HIDDEN_SIZE, dim)) / np.sqrt(dim),
-        b1=np.zeros(HIDDEN_SIZE),
-        w2=rng.uniform(-1.0, 1.0, size=(N_OUTPUTS, HIDDEN_SIZE)) / np.sqrt(HIDDEN_SIZE),
-        b2=np.zeros(N_OUTPUTS),
-    )
-
-
-def _batch_embed(table: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([_embed_one(table, ids) for ids in feats])
+    return [
+        rng.uniform(-1.0 / dim, 1.0 / dim, size=emb_shape),
+        rng.uniform(-1.0, 1.0, size=w1_shape) / np.sqrt(dim),
+        np.zeros(b1_shape),
+        rng.uniform(-1.0, 1.0, size=w2_shape) / np.sqrt(HIDDEN_SIZE),
+        np.zeros(b2_shape),
+    ]
 
 
 def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
@@ -179,48 +187,35 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
     return float(losses.mean())
 
 
-def _loss(params: _Params, feats: Sequence[np.ndarray], y: np.ndarray) -> float:
-    e = _batch_embed(params.emb, feats)
-    h = np.maximum(e @ params.w1.T + params.b1, 0.0)
-    z2 = h @ params.w2.T + params.b2
-    return _bce_from_logits(z2, y)
+def _loss(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray) -> float:
+    e = np.stack([_pool(params[0], ids) for ids in feats])
+    return _bce_from_logits(_layers(params, e)[2], y)
 
 
-def _backprop(params: _Params, feats: Sequence[np.ndarray], y: np.ndarray):
-    """Loss plus gradients; the embedding gradient comes back per-sample
-    as dE rows (the sparse form trainers apply directly)."""
-    e = _batch_embed(params.emb, feats)
-    z1 = e @ params.w1.T + params.b1
-    h = np.maximum(z1, 0.0)
-    z2 = h @ params.w2.T + params.b2
+def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
+    """Loss plus gradients in parameter order. The embedding gradient is
+    sparse, ``(ids, rows)`` with one row per gram occurrence: scatter-add
+    the rows into the table to apply it."""
+    emb, w1, _, w2, _ = params
+    e = np.stack([_pool(emb, ids) for ids in feats])
+    z1, h, z2 = _layers(params, e)
     loss = _bce_from_logits(z2, y)
 
     dz2 = (_sigmoid(z2) - y) / z2.size
-    gw2 = dz2.T @ h
-    gb2 = dz2.sum(axis=0)
-    dh = dz2 @ params.w2
-    dz1 = dh * (z1 > 0)
-    gw1 = dz1.T @ e
-    gb1 = dz1.sum(axis=0)
-    de = dz1 @ params.w1
-    return loss, gw1, gb1, gw2, gb2, de
+    dz1 = (dz2 @ w2) * (z1 > 0)
+    de = dz1 @ w1
+    lengths = [ids.size for ids in feats]
+    rows = np.repeat(de / np.maximum(np.array(lengths), 1)[:, None], lengths, axis=0)
+    emb_grad = (np.concatenate(feats), rows)
+    return loss, [emb_grad, dz1.T @ e, dz1.sum(axis=0), dz2.T @ h, dz2.sum(axis=0)]
 
 
-def _dense_embedding_grad(
-    shape: tuple[int, int], feats: Sequence[np.ndarray], de: np.ndarray
-) -> np.ndarray:
-    g = np.zeros(shape)
-    for i, ids in enumerate(feats):
-        if ids.size:
-            np.add.at(g, ids, de[i] / ids.size)
-    return g
-
-
-def loss_and_grads(params: _Params, feats: Sequence[np.ndarray], y: np.ndarray):
-    """Mean BCE and dense gradients for every parameter array."""
-    loss, gw1, gb1, gw2, gb2, de = _backprop(params, feats, y)
-    gemb = _dense_embedding_grad(params.emb.shape, feats, de)
-    return loss, _Params(gemb, gw1, gb1, gw2, gb2)
+def loss_and_grads(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
+    """Mean BCE and dense gradients for every parameter array, in parameter order."""
+    loss, (emb_grad, *head_grads) = _backprop(params, feats, y)
+    gemb = np.zeros_like(params[0])
+    np.add.at(gemb, *emb_grad)
+    return loss, [gemb, *head_grads]
 
 
 SELECTION_METRICS = ("exact_match", "loss")
@@ -266,43 +261,20 @@ class TrainResult:
     best_metric: float
 
 
-def _predicted_sets(probs: np.ndarray, threshold: float) -> list[LabelSet]:
-    sets = []
-    accept = probs >= threshold
-    for row in accept:
-        langs = [OUTPUT_ORDER[i] for i in range(N_OUTPUTS) if row[i]]
-        sets.append(LabelSet(frozenset(langs)) if langs else LabelSet.of(Language.OTHER))
-    return sets
-
-
 def _validation_metric(
-    params: _Params,
+    params: Sequence[np.ndarray],
     feats: Sequence[np.ndarray],
     y: np.ndarray,
     gold: Sequence[LabelSet],
     which: str,
     threshold: float,
 ) -> float:
+    e = np.stack([_pool(params[0], ids) for ids in feats])
+    z2 = _layers(params, e)[2]
     if which == "loss":
-        return -_loss(params, feats, y)
-    e = _batch_embed(params.emb, feats)
-    h = np.maximum(e @ params.w1.T + params.b1, 0.0)
-    probs = _sigmoid(h @ params.w2.T + params.b2)
-    predicted = _predicted_sets(probs, threshold)
-    hits = sum(1 for p, g in zip(predicted, gold) if p == g)
+        return -_bce_from_logits(z2, y)
+    hits = sum(1 for row, g in zip(_sigmoid(z2) >= threshold, gold) if _decode(row) == g)
     return hits / len(gold)
-
-
-def _to_model(params: _Params, fcfg: FeaturizerConfig, threshold: float) -> FastModel:
-    return FastModel(
-        featurizer=fcfg,
-        embeddings=params.emb.astype(np.float32),
-        w1=params.w1.astype(np.float32),
-        b1=params.b1.astype(np.float32),
-        w2=params.w2.astype(np.float32),
-        b2=params.b2.astype(np.float32),
-        threshold=threshold,
-    )
 
 
 def train(
@@ -331,14 +303,15 @@ def train(
 
     rng = np.random.default_rng(tcfg.seed)
     params = _init_params(fcfg, rng)
-    velocity = [np.zeros_like(a) for a in (params.w1, params.b1, params.w2, params.b2)]
+    emb, *head = params
+    velocity = [np.zeros_like(a) for a in head]
 
     n = len(train_set)
     initial_loss = _loss(params, feats, y)
     logger.info("training on %d items (%d validation), initial loss %.4f", n, len(valid_set), initial_loss)
 
     history: list[EvalPoint] = []
-    best_params = params.copy()
+    best_params = [a.copy() for a in params]
     best_metric = -np.inf
     best_step = 0
     evals_without_improvement = 0
@@ -358,7 +331,7 @@ def train(
         if metric > best_metric:
             best_metric = metric
             best_step = step
-            best_params = params.copy()
+            best_params = [a.copy() for a in params]
             evals_without_improvement = 0
         else:
             evals_without_improvement += 1
@@ -368,9 +341,7 @@ def train(
         epoch_loss: list[float] = []
         for start in range(0, n, tcfg.batch_size):
             batch = order[start : start + tcfg.batch_size]
-            bfeats = [feats[i] for i in batch]
-            by = y[batch]
-            loss, gw1, gb1, gw2, gb2, de = _backprop(params, bfeats, by)
+            loss, ((ids, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at step {step} (epoch {epoch}); "
@@ -380,24 +351,14 @@ def train(
             loss_since_eval.append(loss)
 
             lr = tcfg.learning_rate
-            grads = (gw1, gb1, gw2, gb2)
-            arrays = (params.w1, params.b1, params.w2, params.b2)
-            for v, g, a in zip(velocity, grads, arrays):
+            for v, g, a in zip(velocity, head_grads, head):
                 v *= tcfg.momentum
                 v -= lr * g
                 a += v
             # Sparse embedding update: only touched rows move (plain SGD,
             # no momentum, which keeps the update cost proportional to
             # the batch's gram count).
-            lengths = [ids.size for ids in bfeats]
-            nonempty = [ids for ids in bfeats if ids.size]
-            if nonempty:
-                scaled = np.repeat(
-                    de / np.maximum(np.array(lengths), 1)[:, None],
-                    lengths,
-                    axis=0,
-                )
-                np.add.at(params.emb, np.concatenate(nonempty), -lr * scaled)
+            np.add.at(emb, ids, -lr * rows)
 
             step += 1
             if step % tcfg.eval_interval == 0:
@@ -415,9 +376,8 @@ def train(
     if not len(valid_set):
         best_params, best_metric, best_step = params, float("nan"), step
 
-    model = _to_model(best_params, fcfg, threshold)
     return TrainResult(
-        model=model,
+        model=FastModel(fcfg, *best_params, threshold=threshold),
         history=history,
         initial_loss=initial_loss,
         epoch_losses=epoch_losses,
@@ -447,37 +407,25 @@ def gradient_check(
     """
     if fcfg.bucket_count > 64 or fcfg.embed_dim > 8:
         raise ValueError("gradient_check needs a small model (bucket_count <= 64, embed_dim <= 8)")
-    texts = [item.text for item in batch]
-    labels = [item.labels for item in batch]
-    feats = [featurize(t, fcfg) for t in texts]
-    y = np.stack([targets_for(l) for l in labels])
+    feats = [featurize(item.text, fcfg) for item in batch]
+    y = np.stack([targets_for(item.labels) for item in batch])
 
     rng = np.random.default_rng(seed)
     margin = 8.0 * step
     for _ in range(1000):
-        params = _Params(
-            emb=rng.uniform(-1, 1, size=(fcfg.bucket_count, fcfg.embed_dim)),
-            w1=rng.uniform(-1, 1, size=(HIDDEN_SIZE, fcfg.embed_dim)),
-            b1=rng.uniform(-1, 1, size=HIDDEN_SIZE),
-            w2=rng.uniform(-1, 1, size=(N_OUTPUTS, HIDDEN_SIZE)),
-            b2=rng.uniform(-1, 1, size=N_OUTPUTS),
-        )
-        e = _batch_embed(params.emb, feats)
-        z1 = e @ params.w1.T + params.b1
+        params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(fcfg)]
+        z1, _, _ = _layers(params, np.stack([_pool(params[0], ids) for ids in feats]))
         if np.abs(z1).min() > margin:
             break
     else:  # pragma: no cover - would need absurdly unlucky sampling
         raise RuntimeError("could not sample parameters clear of the ReLU kink")
 
     _, analytic = loss_and_grads(params, feats, y)
-    nonempty = [ids for ids in feats if ids.size]
-    touched = np.unique(np.concatenate(nonempty)) if nonempty else np.array([], dtype=np.int64)
+    touched = np.unique(np.concatenate(feats))
 
     worst = 0.0
-    for name in ("emb", "w1", "b1", "w2", "b2"):
-        arr = getattr(params, name)
-        ana = getattr(analytic, name)
-        if name == "emb":
+    for name, arr, ana in zip(_ARRAY_NAMES, params, analytic):
+        if name == "embeddings":
             indices = [(int(r), c) for r in touched for c in range(arr.shape[1])]
         else:
             indices = list(np.ndindex(arr.shape))
@@ -521,8 +469,8 @@ def save_model(model: FastModel, path: Path | str) -> None:
     buf += struct.pack("<H", MODEL_VERSION)
     buf += struct.pack("<I", len(header_bytes))
     buf += header_bytes
-    for arr in (model.embeddings, model.w1, model.b1, model.w2, model.b2):
-        buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for name in _ARRAY_NAMES:
+        buf += np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     Path(path).write_bytes(bytes(buf))
 
@@ -576,14 +524,7 @@ def load_model(path: Path | str) -> FastModel:
     if label_order != [lang.value for lang in OUTPUT_ORDER]:
         raise ModelFormatError(f"{path}: unexpected label order {label_order}")
 
-    dim = fcfg.embed_dim
-    shapes = [
-        (fcfg.bucket_count, dim),
-        (HIDDEN_SIZE, dim),
-        (HIDDEN_SIZE,),
-        (N_OUTPUTS, HIDDEN_SIZE),
-        (N_OUTPUTS,),
-    ]
+    shapes = _shapes(fcfg)
     expected_bytes = sum(4 * int(np.prod(s)) for s in shapes)
     if len(body) - header_end != expected_bytes:
         raise ModelFormatError(
@@ -597,8 +538,7 @@ def load_model(path: Path | str) -> FastModel:
             np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
         )
         offset += 4 * count
-    emb, w1, b1, w2, b2 = arrays
     try:
-        return FastModel(fcfg, emb, w1, b1, w2, b2, threshold=threshold)
+        return FastModel(fcfg, *arrays, threshold=threshold)
     except ValueError as e:
         raise ModelFormatError(f"{path}: bad model: {e}") from None

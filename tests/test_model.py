@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from scandilid.model import (
     targets_for,
     train,
 )
-from scandilid.model import _init_params, _Params
+from scandilid.model import _init_params, _sigmoid
 from scandilid.synthetic import ambiguous_indices, generate_corpus
 
 
@@ -195,7 +197,7 @@ def test_untouched_embedding_rows_have_zero_gradient():
     touched = set(np.concatenate(feats).tolist())
     for row in range(cfg.bucket_count):
         if row not in touched:
-            assert np.all(grads.emb[row] == 0.0)
+            assert np.all(grads[0][row] == 0.0)
 
 
 def test_duplicated_sample_gradient_linearity():
@@ -212,10 +214,29 @@ def test_duplicated_sample_gradient_linearity():
     # Mean-scaled gradients coincide and the sum form doubles; only the
     # BLAS summation path differs between batch shapes, so compare at a
     # few-ulp tolerance rather than bitwise.
-    for name in ("emb", "w1", "b1", "w2", "b2"):
-        a, b = getattr(g1, name), getattr(g2, name)
+    for a, b in zip(g1, g2):
         np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-16)
         np.testing.assert_allclose(b * y2.size, 2.0 * (a * y1.size), rtol=1e-10, atol=1e-16)
+
+
+def two_branch_sigmoid(z):
+    """Reference sigmoid: one branch per sign, so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form_bit_for_bit():
+    edges = [0.0, -0.0, 745.0, -745.0, 1e4, -1e4, 709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324]
+    z = np.concatenate([edges, np.linspace(-60.0, 60.0, 2400), np.random.default_rng(0).normal(0, 40, 2000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _sigmoid(z)
+        batch_got = _sigmoid(z.reshape(-1, 4))
+    assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+    assert batch_got.tobytes() == got.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +264,44 @@ def test_training_learns_separable_corpus(tiny_corpus):
     assert hits / len(test_set) >= 0.9
     assert result.epoch_losses[0] < result.initial_loss
     assert result.history, "validation evaluations must be recorded"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "model_golden.json").read_text(encoding="utf-8"))
+
+
+def tags(labels):
+    return sorted(lang.value for lang in labels)
+
+
+def test_forward_and_predict_match_golden_fixture():
+    # Pins forward and predict on a fixed model. The texts include the
+    # empty text and 14 texts with an output within 2e-3 of the threshold
+    # (but farther than 1e-9, so a last-bit change in summation order
+    # cannot flip a decision).
+    spec = GOLDEN["model"]
+    model = FastModel(
+        FeaturizerConfig(**spec["featurizer"]),
+        *(np.array(spec[name], dtype=np.float32) for name in ("embeddings", "w1", "b1", "w2", "b2")),
+        threshold=spec["threshold"],
+    )
+    assert len(GOLDEN["texts"]) == 50
+    for text, probabilities, labels in zip(GOLDEN["texts"], GOLDEN["probabilities"], GOLDEN["labels"]):
+        np.testing.assert_allclose(forward(model, text), probabilities, rtol=0, atol=1e-12)
+        assert tags(predict(model, text)) == labels, text
+
+
+def test_training_matches_golden_fixture(tiny_corpus):
+    # Pins one fixed-seed training run: losses, metrics, the selected
+    # step and the trained model's test-set label sets, all exactly.
+    spec = GOLDEN["train"]
+    fit, valid, test_set = tiny_corpus
+    result = train(fit, valid, FeaturizerConfig(**spec["featurizer"]), TrainConfig(**spec["train_config"]))
+    assert result.best_step == spec["best_step"]
+    assert result.best_metric == spec["best_metric"]
+    assert result.initial_loss == spec["initial_loss"]
+    assert result.epoch_losses == spec["epoch_losses"]
+    assert [[p.step, p.epoch, p.train_loss, p.metric] for p in result.history] == spec["history"]
+    assert [tags(predict(result.model, item.text)) for item in test_set] == spec["test_labels"]
 
 
 def test_training_is_deterministic(tiny_corpus):
@@ -415,3 +474,22 @@ def test_model_validation():
             w2=np.zeros((4, 64), dtype=np.float32),
             b2=np.zeros(4, dtype=np.float32),
         )
+    # Finite in float64 but beyond the float32 range: inf once stored.
+    too_big = np.zeros(4)
+    too_big[0] = 1e39
+    with pytest.raises(ValueError, match="b2 contains non-finite"):
+        FastModel(
+            featurizer=cfg,
+            embeddings=np.zeros((cfg.bucket_count, 8)),
+            w1=np.zeros((64, 8)),
+            b1=np.zeros(64),
+            w2=np.zeros((4, 64)),
+            b2=too_big,
+        )
+
+
+def test_model_is_frozen():
+    model = random_model(threshold=0.4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.threshold = 2.0
+    assert model.threshold == 0.4
