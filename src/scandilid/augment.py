@@ -3,12 +3,13 @@
 All randomness is counter-based: every item draws from its own RNG
 seeded by (seed, item index), so results are independent of execution
 order and safe to parallelize. Augmentation never touches the test
-split; that restriction is structural, not a convention.
+split; that restriction is structural, not a convention. Entity
+annotations arrive as JSONL; the ``ingest`` module docstring lists
+their schema.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .core import DataError, Dataset, LabeledSentence, LabelSet
+from .ingest import read_jsonl, typed_field
 
 logger = logging.getLogger(__name__)
 
@@ -126,23 +128,14 @@ class EntityAnnotation:
             raise DataError(f"invalid span [{self.start}, {self.end})")
 
 
+def _parse_annotation(r: dict) -> EntityAnnotation:
+    positions = (typed_field(r, name, int) for name in ("sentence_index", "start", "end"))
+    return EntityAnnotation(*positions, typed_field(r, "category", str), typed_field(r, "surface", str))
+
+
 def read_entity_annotations(path: Path | str) -> list[EntityAnnotation]:
-    """Read JSONL annotations: {sentence_index, start, end, category, surface}."""
-    annotations = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                annotations.append(
-                    EntityAnnotation(
-                        rec["sentence_index"], rec["start"], rec["end"], rec["category"], rec["surface"]
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, DataError) as e:
-                raise DataError(f"{path}:{lineno}: bad annotation record: {e}") from None
-    return annotations
+    """Read JSONL entity annotations (schema in ``ingest``)."""
+    return read_jsonl(path, _parse_annotation)
 
 
 def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: int) -> Dataset:
@@ -155,12 +148,8 @@ def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: in
     """
     _refuse_protected_split(dataset, "ner_swap")
 
-    inventories: dict[str, list[str]] = {}
-    for ann in annotations:
-        inventories.setdefault(ann.category, [])
-    for category in inventories:
-        surfaces = sorted({a.surface for a in annotations if a.category == category})
-        inventories[category] = surfaces
+    categories = {a.category for a in annotations}
+    inventories = {c: sorted({a.surface for a in annotations if a.category == c}) for c in categories}
 
     by_sentence: dict[int, list[EntityAnnotation]] = {}
     for ann in annotations:

@@ -1,10 +1,21 @@
-"""Corpus ingestion: CoNLL-U text extraction, JSONL datasets, statistics.
+"""Corpus ingestion: CoNLL-U text extraction, JSONL records, statistics.
 
-JSONL is the interchange format everywhere: one UTF-8 record per line
-with fields ``text``, ``labels`` (canonically ordered tags) and an
-optional ``source``. CoNLL-U files are consumed only for their
-``# text = ...`` comments; token columns are never reassembled because
-that would re-introduce tokenization artifacts.
+JSONL is the interchange format everywhere, and only this module reads
+or writes it: one UTF-8 JSON object per line, ``\\n`` line ends, blank
+lines skipped. Field types are exact (a boolean is not an integer, nor
+is ``0.0``); a ``?`` field is optional, and absent or null means None.
+
+- dataset item: ``text`` string, ``labels`` list of tags (written in
+  canonical order), ``source?`` string;
+- translation record (``silverlabel``): ``item_index`` integer,
+  ``target`` tag string other than ``other``, ``translation`` string;
+- entity annotation (``augment``): ``sentence_index``, ``start``, ``end``
+  integers (byte offsets into the UTF-8 sentence), ``category`` and
+  ``surface`` strings.
+
+CoNLL-U files are consumed only for their ``# text = ...`` comments;
+token columns are never reassembled because that would re-introduce
+tokenization artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .core import (
     CANONICAL_ORDER,
@@ -27,6 +38,8 @@ from .core import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 FORMATS = ("conllu", "jsonl", "plaintext")
 
@@ -122,66 +135,84 @@ def parse_conllu(stream: Iterable[str]) -> list[str]:
     return texts
 
 
-def _parse_jsonl_record(line: str, path: Path | str, lineno: int) -> LabeledSentence:
-    where = f"{path}:{lineno}"
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"{where}: invalid JSON: {e}") from None
-    if not isinstance(record, dict):
-        raise DatasetFormatError(f"{where}: expected a JSON object, found {type(record).__name__}")
-    try:
-        text = record["text"]
-        tags = record["labels"]
-    except KeyError as e:
-        raise DatasetFormatError(f"{where}: missing field {e}") from None
-    if not isinstance(text, str) or not isinstance(tags, list):
-        raise DatasetFormatError(f"{where}: 'text' must be a string and 'labels' a list")
-    source = record.get("source")
-    if source is not None and not isinstance(source, str):
-        raise DatasetFormatError(f"{where}: 'source' must be a string when present")
-    try:
-        return LabeledSentence(text, label_set_parse(tags), source)
-    except DataError as e:
-        raise DatasetFormatError(f"{where}: {e}") from None
+def typed_field(record: dict, name: str, kind: type, optional: bool = False):
+    """``record[name]`` if its type is exactly ``kind`` (a bool is not an int);
+    KeyError if a required field is missing, None for an absent optional one."""
+    value = record.get(name) if optional else record[name]
+    if (value is not None or not optional) and type(value) is not kind:
+        raise DataError(f"{name!r} must be {kind.__name__}, found {type(value).__name__}")
+    return value
 
 
-def read_dataset(path: Path | str, format: str = "jsonl", split: str = "unsplit") -> Dataset:
-    """Read a JSONL dataset; order equals file order on every read."""
-    if format != "jsonl":
-        raise DataError(f"read_dataset supports jsonl, not {format!r}; use CorpusSource for raw corpora")
-    items: list[LabeledSentence] = []
+def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of each non-blank line's JSON object, in file order. Invalid
+    JSON, a non-object, a missing field (``KeyError`` from ``parse``) or a
+    bad value (``DataError``) raises DatasetFormatError naming path:line."""
+    out: list[T] = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            items.append(_parse_jsonl_record(line, path, lineno))
-    return Dataset(split, tuple(items))
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DatasetFormatError(f"{where}: invalid JSON: {e}") from None
+            if not isinstance(record, dict):
+                raise DatasetFormatError(f"{where}: expected a JSON object, found {type(record).__name__}")
+            try:
+                out.append(parse(record))
+            except KeyError as e:
+                raise DatasetFormatError(f"{where}: missing field {e}") from None
+            except DataError as e:
+                raise DatasetFormatError(f"{where}: {e}") from None
+    return out
 
 
-def serialize_record(item: LabeledSentence) -> str:
+def write_jsonl(records: Iterable[dict], path: Path | str) -> None:
+    """One JSON object per line, non-ASCII unescaped, ``\\n`` line ends; byte-stable."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _parse_item(record: dict) -> LabeledSentence:
+    return LabeledSentence(
+        typed_field(record, "text", str),
+        label_set_parse(typed_field(record, "labels", list)),
+        typed_field(record, "source", str, optional=True),
+    )
+
+
+def _item_record(item: LabeledSentence) -> dict:
     record: dict = {"text": item.text, "labels": list(item.labels.tags())}
     if item.source is not None:
         record["source"] = item.source
-    return json.dumps(record, ensure_ascii=False)
+    return record
+
+
+def read_dataset(path: Path | str, split: str = "unsplit") -> Dataset:
+    """Read a JSONL dataset; order equals file order on every read."""
+    return Dataset(split, tuple(read_jsonl(path, _parse_item)))
+
+
+def serialize_record(item: LabeledSentence) -> str:
+    return json.dumps(_item_record(item), ensure_ascii=False)
 
 
 def write_dataset(dataset: Dataset, path: Path | str) -> None:
     """Write JSONL with canonical label order; byte-stable across runs."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for item in dataset:
-            f.write(serialize_record(item) + "\n")
+    write_jsonl(map(_item_record, dataset), path)
 
 
 def _extract_source(source: CorpusSource) -> list[LabeledSentence]:
     if source.format == "jsonl":
         return list(read_dataset(source.path).items)
     provenance = str(source.path)
-    if source.format == "conllu":
-        with open(source.path, encoding="utf-8") as f:
+    with open(source.path, encoding="utf-8") as f:
+        if source.format == "conllu":
             texts = parse_conllu(f)
-    else:  # plaintext, one sentence per line
-        with open(source.path, encoding="utf-8") as f:
+        else:  # plaintext, one sentence per line
             texts = [line.rstrip("\n") for line in f if line.strip()]
     return [LabeledSentence(t, source.assigned_labels, provenance) for t in texts]
 
@@ -212,13 +243,10 @@ def compose_training_set(
         items = [item for i, item in enumerate(items) if i not in drop]
 
     if dedupe:
-        seen: set[str] = set()
-        unique = []
+        first: dict[str, LabeledSentence] = {}
         for item in items:
-            if item.text not in seen:
-                seen.add(item.text)
-                unique.append(item)
-        items = unique
+            first.setdefault(item.text, item)
+        items = list(first.values())
 
     return Dataset(split, tuple(items))
 

@@ -66,9 +66,13 @@ def _shapes(cfg: FeaturizerConfig) -> list[tuple[int, ...]]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FastModel:
-    """Immutable trained classifier; safe to share across threads."""
+    """Immutable trained classifier; safe to share across threads.
+
+    Equality and hashing are by identity: comparing weight arrays
+    field by field has no single truth value.
+    """
 
     featurizer: FeaturizerConfig
     embeddings: np.ndarray  # (bucket_count, embed_dim) float32
@@ -311,7 +315,7 @@ def train(
     logger.info("training on %d items (%d validation), initial loss %.4f", n, len(valid_set), initial_loss)
 
     history: list[EvalPoint] = []
-    best_params = [a.copy() for a in params]
+    best_model: FastModel | None = None
     best_metric = -np.inf
     best_step = 0
     evals_without_improvement = 0
@@ -321,17 +325,20 @@ def train(
     stop = False
 
     def run_eval(epoch: int) -> None:
-        nonlocal best_metric, best_step, best_params, evals_without_improvement
+        nonlocal best_metric, best_step, best_model, evals_without_improvement
         if not len(valid_set):
             return
         metric = _validation_metric(params, vfeats, vy, vgold, tcfg.selection_metric, threshold)
         train_loss = float(np.mean(loss_since_eval)) if loss_since_eval else initial_loss
         loss_since_eval.clear()
         history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
-        if metric > best_metric:
+        if best_model is None or metric > best_metric:
             best_metric = metric
             best_step = step
-            best_params = [a.copy() for a in params]
+            # The checkpoint is a float32 model; drop the old one first so
+            # at most one checkpoint is alive beside the live parameters.
+            best_model = None
+            best_model = FastModel(fcfg, *params, threshold=threshold)
             evals_without_improvement = 0
         else:
             evals_without_improvement += 1
@@ -374,10 +381,11 @@ def train(
     if loss_since_eval or not history:
         run_eval(epoch)
     if not len(valid_set):
-        best_params, best_metric, best_step = params, float("nan"), step
+        best_model = FastModel(fcfg, *params, threshold=threshold)
+        best_metric, best_step = float("nan"), step
 
     return TrainResult(
-        model=FastModel(fcfg, *best_params, threshold=threshold),
+        model=best_model,
         history=history,
         initial_loss=initial_loss,
         epoch_losses=epoch_losses,
@@ -470,9 +478,9 @@ def save_model(model: FastModel, path: Path | str) -> None:
     buf += struct.pack("<I", len(header_bytes))
     buf += header_bytes
     for name in _ARRAY_NAMES:
-        buf += np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(buf))
+        buf += memoryview(np.ascontiguousarray(getattr(model, name), dtype="<f4")).cast("B")
+    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
+    Path(path).write_bytes(buf)
 
 
 def load_model(path: Path | str) -> FastModel:

@@ -8,7 +8,8 @@ labels, never remove them, and the sentence text itself is never
 replaced. Items labeled `other` are never extended.
 
 Translations arrive as external records; any MT system can produce
-them, either as JSONL files or through the shell-command plug-in.
+them, either as JSONL files (translation records, whose schema the
+``ingest`` module docstring lists) or through the shell-command plug-in.
 
 The plug-in contract: the command is run through the shell and reads
 request lines ``<target-tag>\\t<source-text>\\n`` from stdin until EOF,
@@ -27,7 +28,6 @@ is counted and skipped.
 
 from __future__ import annotations
 
-import json
 import logging
 import subprocess
 import unicodedata
@@ -43,6 +43,7 @@ from .core import (
     LabelSet,
     Language,
 )
+from .ingest import read_jsonl, typed_field, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -130,39 +131,19 @@ def extend_labels(
     return dataset.with_items(items), summary
 
 
+def _parse_translation(r: dict) -> TranslationRecord:
+    target = Language.from_tag(typed_field(r, "target", str))
+    return TranslationRecord(typed_field(r, "item_index", int), target, typed_field(r, "translation", str))
+
+
 def read_translation_records(path: Path | str) -> list[TranslationRecord]:
-    """Read JSONL records: {item_index, target, translation}."""
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                records.append(
-                    TranslationRecord(
-                        rec["item_index"], Language.from_tag(rec["target"]), rec["translation"]
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, DataError) as e:
-                raise DataError(f"{path}:{lineno}: bad translation record: {e}") from None
-    return records
+    """Read JSONL translation records (schema in ``ingest``)."""
+    return read_jsonl(path, _parse_translation)
 
 
 def write_translation_records(records: Iterable[TranslationRecord], path: Path | str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for rec in records:
-            f.write(
-                json.dumps(
-                    {
-                        "item_index": rec.item_index,
-                        "target": rec.target.value,
-                        "translation": rec.translation,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = ({"item_index": r.item_index, "target": r.target.value, "translation": r.translation} for r in records)
+    write_jsonl(rows, path)
 
 
 def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> str | None:

@@ -15,6 +15,8 @@ from scandilid.ingest import (
     serialize_record,
     write_dataset,
 )
+from scandilid.augment import read_entity_annotations
+from scandilid.silverlabel import read_translation_records
 
 CONLLU_SAMPLE = """\
 # sent_id = dk-001
@@ -92,6 +94,47 @@ def test_read_dataset_rejects_missing_fields(tmp_path):
     p.write_text('{"labels":["sv"]}\n', encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="missing field"):
         read_dataset(p)
+
+
+_GOOD = {
+    read_dataset: '{"text": "Hej", "labels": ["da"]}',
+    read_translation_records: '{"item_index": 0, "target": "nb", "translation": "Hei"}',
+    read_entity_annotations: '{"sentence_index": 0, "start": 0, "end": 4, "category": "location", "surface": "Oslo"}',
+}
+
+
+def _bad(reader, old, new):
+    return pytest.param(reader, _GOOD[reader].replace(old, new), id=f"{reader.__name__}:{new}")
+
+
+@pytest.mark.parametrize(
+    "reader, bad",
+    [
+        _bad(read_dataset, '"Hej"', "5"),
+        _bad(read_dataset, '["da"]', '"da"'),
+        _bad(read_dataset, "]}", '], "source": 1}'),
+        _bad(read_dataset, _GOOD[read_dataset], '["Hej", ["da"]]'),
+        _bad(read_translation_records, "0", '"0"'),
+        _bad(read_translation_records, "0", "true"),
+        _bad(read_translation_records, "0", "0.0"),
+        _bad(read_translation_records, '"nb"', "1"),
+        _bad(read_translation_records, '"Hei"', "7"),
+        _bad(read_translation_records, _GOOD[read_translation_records], '[0, "nb", "Hei"]'),
+        _bad(read_entity_annotations, '"sentence_index": 0', '"sentence_index": true'),
+        _bad(read_entity_annotations, '"start": 0', '"start": 0.0'),
+        _bad(read_entity_annotations, "4", '"4"'),
+        _bad(read_entity_annotations, '"location"', "3"),
+        _bad(read_entity_annotations, '"Oslo"', '["Oslo"]'),
+        _bad(read_entity_annotations, _GOOD[read_entity_annotations], '[0, 0, 4, "location", "Oslo"]'),
+    ],
+)
+def test_readers_reject_malformed_records_with_line_number(tmp_path, reader, bad):
+    p = tmp_path / "records.jsonl"
+    p.write_text(f"{_GOOD[reader]}\n\n{bad}\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=r":3:"):
+        reader(p)
+    p.write_text(f"{_GOOD[reader]}\n", encoding="utf-8")
+    assert len(reader(p)) == 1
 
 
 def test_read_is_order_stable(tmp_path):

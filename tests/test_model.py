@@ -493,3 +493,10 @@ def test_model_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.threshold = 2.0
     assert model.threshold == 0.4
+
+
+def test_model_equality_is_identity_and_hashable():
+    model, twin = random_model(), random_model()
+    assert model == model
+    assert model != twin
+    assert len({model, twin, model}) == 2

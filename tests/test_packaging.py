@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -13,3 +14,20 @@ def test_every_console_script_target_imports():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_only_ingest_and_model_import_json():
+    # JSONL records go through ingest; model needs json for its file header.
+    package = Path(__file__).parent.parent / "src" / "scandilid"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.add(path.stem)
+    assert importers <= {"ingest", "model"}, sorted(importers - {"ingest", "model"})
