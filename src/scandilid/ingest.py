@@ -20,6 +20,7 @@ tokenization artifacts.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import random
@@ -144,28 +145,41 @@ def typed_field(record: dict, name: str, kind: type, optional: bool = False):
     return value
 
 
+def _read_lines(path: Path | str) -> list[str]:
+    """The UTF-8 file's lines, each ending in ``\\n`` as in text mode: a line
+    ends at ``\\n``, ``\\r\\n`` or ``\\r``. A byte that is not UTF-8 raises
+    DatasetFormatError naming path:line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start]
+        lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise DatasetFormatError(f"{path}:{lineno}: not UTF-8 ({e.reason} at file offset {e.start})") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` of each non-blank line's JSON object, in file order. Invalid
-    JSON, a non-object, a missing field (``KeyError`` from ``parse``) or a
-    bad value (``DataError``) raises DatasetFormatError naming path:line."""
+    UTF-8 or JSON, a non-object, a missing field (``KeyError`` from ``parse``)
+    or a bad value (``DataError``) raises DatasetFormatError naming path:line."""
     out: list[T] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(f"{where}: invalid JSON: {e}") from None
-            if not isinstance(record, dict):
-                raise DatasetFormatError(f"{where}: expected a JSON object, found {type(record).__name__}")
-            try:
-                out.append(parse(record))
-            except KeyError as e:
-                raise DatasetFormatError(f"{where}: missing field {e}") from None
-            except DataError as e:
-                raise DatasetFormatError(f"{where}: {e}") from None
+    for lineno, line in enumerate(_read_lines(path), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"{where}: invalid JSON: {e}") from None
+        if not isinstance(record, dict):
+            raise DatasetFormatError(f"{where}: expected a JSON object, found {type(record).__name__}")
+        try:
+            out.append(parse(record))
+        except KeyError as e:
+            raise DatasetFormatError(f"{where}: missing field {e}") from None
+        except DataError as e:
+            raise DatasetFormatError(f"{where}: {e}") from None
     return out
 
 
@@ -209,11 +223,11 @@ def _extract_source(source: CorpusSource) -> list[LabeledSentence]:
     if source.format == "jsonl":
         return list(read_dataset(source.path).items)
     provenance = str(source.path)
-    with open(source.path, encoding="utf-8") as f:
-        if source.format == "conllu":
-            texts = parse_conllu(f)
-        else:  # plaintext, one sentence per line
-            texts = [line.rstrip("\n") for line in f if line.strip()]
+    lines = _read_lines(source.path)
+    if source.format == "conllu":
+        texts = parse_conllu(lines)
+    else:  # plaintext, one sentence per line
+        texts = [line.rstrip("\n") for line in lines if line.strip()]
     return [LabeledSentence(t, source.assigned_labels, provenance) for t in texts]
 
 

@@ -17,10 +17,15 @@ check share one forward path: `_pool` averages a sentence's embedding
 rows and `_layers` applies the head to one pooled vector or a batch of
 them. The parameter arrays have one layout, `_ARRAY_NAMES` in the
 shapes of `_shapes`, used by `FastModel`, training and the model file.
+
+Validation by exact match compares each row of accepted outputs with
+its 0/1 target row; `other` is the all-zero row on both sides, so this
+equals comparing decoded label sets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import struct
@@ -31,16 +36,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, LabelSet, Language
+from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
 from .features import HIDDEN_SIZE, N_OUTPUTS, FeaturizerConfig, featurize
 
 logger = logging.getLogger(__name__)
 
-OUTPUT_ORDER: tuple[Language, ...] = (Language.DA, Language.NB, Language.NN, Language.SV)
-_OUTPUT_INDEX = {lang: i for i, lang in enumerate(OUTPUT_ORDER)}
+OUTPUT_ORDER: tuple[Language, ...] = SCANDINAVIAN
 
 MODEL_MAGIC = b"SLFX"
 MODEL_VERSION = 1
+# Magic, version and the JSON header's length; the header follows.
+_FILE_START = struct.Struct("<4sHI")
 
 
 class ModelFormatError(RuntimeError):
@@ -121,6 +127,11 @@ def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return emb[ids].mean(axis=0, dtype=np.float64)
 
 
+def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
+    """One pooled row per sentence, in order."""
+    return np.stack([_pool(emb, ids) for ids in feats])
+
+
 def _layers(params: Sequence[np.ndarray], e: np.ndarray):
     """Hidden pre-activation z1, hidden activation h and output logits z2
     for one pooled vector (1-D) or a batch of them (2-D, one per row)."""
@@ -161,11 +172,12 @@ def predict_top1(model: FastModel, text: str) -> Language:
 
 def targets_for(labels: LabelSet) -> np.ndarray:
     """0/1 target vector; `other` maps to all zeros."""
-    y = np.zeros(N_OUTPUTS, dtype=np.float64)
-    for lang in labels:
-        if lang != Language.OTHER:
-            y[_OUTPUT_INDEX[lang]] = 1.0
-    return y
+    return np.array([lang in labels for lang in OUTPUT_ORDER], dtype=np.float64)
+
+
+def _targets(items: Sequence[LabeledSentence]) -> np.ndarray:
+    """One target row per item; shape (0, 4) when there are none."""
+    return np.array([targets_for(item.labels) for item in items]).reshape(-1, N_OUTPUTS)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +204,7 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def _loss(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray) -> float:
-    e = np.stack([_pool(params[0], ids) for ids in feats])
+    e = _pool_all(params[0], feats)
     return _bce_from_logits(_layers(params, e)[2], y)
 
 
@@ -201,7 +213,7 @@ def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.n
     sparse, ``(ids, rows)`` with one row per gram occurrence: scatter-add
     the rows into the table to apply it."""
     emb, w1, _, w2, _ = params
-    e = np.stack([_pool(emb, ids) for ids in feats])
+    e = _pool_all(emb, feats)
     z1, h, z2 = _layers(params, e)
     loss = _bce_from_logits(z2, y)
 
@@ -269,16 +281,14 @@ def _validation_metric(
     params: Sequence[np.ndarray],
     feats: Sequence[np.ndarray],
     y: np.ndarray,
-    gold: Sequence[LabelSet],
     which: str,
     threshold: float,
 ) -> float:
-    e = np.stack([_pool(params[0], ids) for ids in feats])
-    z2 = _layers(params, e)[2]
     if which == "loss":
-        return -_bce_from_logits(z2, y)
-    hits = sum(1 for row, g in zip(_sigmoid(z2) >= threshold, gold) if _decode(row) == g)
-    return hits / len(gold)
+        return -_loss(params, feats, y)
+    e = _pool_all(params[0], feats)
+    accept = _sigmoid(_layers(params, e)[2]) >= threshold
+    return float(np.all(accept == (y == 1.0), axis=1).mean())
 
 
 def train(
@@ -300,10 +310,9 @@ def train(
         raise TrainingError("training set is empty")
 
     feats = [featurize(item.text, fcfg) for item in train_set]
-    y = np.stack([targets_for(item.labels) for item in train_set])
+    y = _targets(train_set)
     vfeats = [featurize(item.text, fcfg) for item in valid_set]
-    vy = np.stack([targets_for(item.labels) for item in valid_set]) if len(valid_set) else np.zeros((0, N_OUTPUTS))
-    vgold = [item.labels for item in valid_set]
+    vy = _targets(valid_set)
 
     rng = np.random.default_rng(tcfg.seed)
     params = _init_params(fcfg, rng)
@@ -322,14 +331,13 @@ def train(
     step = 0
     loss_since_eval: list[float] = []
     epoch_losses: list[float] = []
-    stop = False
 
     def run_eval(epoch: int) -> None:
         nonlocal best_metric, best_step, best_model, evals_without_improvement
         if not len(valid_set):
             return
-        metric = _validation_metric(params, vfeats, vy, vgold, tcfg.selection_metric, threshold)
-        train_loss = float(np.mean(loss_since_eval)) if loss_since_eval else initial_loss
+        metric = _validation_metric(params, vfeats, vy, tcfg.selection_metric, threshold)
+        train_loss = float(np.mean(loss_since_eval))
         loss_since_eval.clear()
         history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
         if best_model is None or metric > best_metric:
@@ -372,13 +380,12 @@ def train(
                 run_eval(epoch)
                 if evals_without_improvement >= tcfg.patience:
                     logger.info("early stop at step %d (no improvement in %d evals)", step, tcfg.patience)
-                    stop = True
                     break
-        epoch_losses.append(float(np.mean(epoch_loss)) if epoch_loss else float("nan"))
-        if stop:
+        epoch_losses.append(float(np.mean(epoch_loss)))
+        if evals_without_improvement >= tcfg.patience:
             break
 
-    if loss_since_eval or not history:
+    if loss_since_eval:
         run_eval(epoch)
     if not len(valid_set):
         best_model = FastModel(fcfg, *params, threshold=threshold)
@@ -416,39 +423,33 @@ def gradient_check(
     if fcfg.bucket_count > 64 or fcfg.embed_dim > 8:
         raise ValueError("gradient_check needs a small model (bucket_count <= 64, embed_dim <= 8)")
     feats = [featurize(item.text, fcfg) for item in batch]
-    y = np.stack([targets_for(item.labels) for item in batch])
+    y = _targets(batch)
 
     rng = np.random.default_rng(seed)
     margin = 8.0 * step
     for _ in range(1000):
         params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(fcfg)]
-        z1, _, _ = _layers(params, np.stack([_pool(params[0], ids) for ids in feats]))
+        z1, _, _ = _layers(params, _pool_all(params[0], feats))
         if np.abs(z1).min() > margin:
             break
     else:  # pragma: no cover - would need absurdly unlucky sampling
         raise RuntimeError("could not sample parameters clear of the ReLU kink")
 
     _, analytic = loss_and_grads(params, feats, y)
-    touched = np.unique(np.concatenate(feats))
 
     worst = 0.0
-    for name, arr, ana in zip(_ARRAY_NAMES, params, analytic):
-        if name == "embeddings":
-            indices = [(int(r), c) for r in touched for c in range(arr.shape[1])]
-        else:
-            indices = list(np.ndindex(arr.shape))
-        num = np.zeros(len(indices))
-        for k, idx in enumerate(indices):
+    for arr, ana in zip(params, analytic):
+        num = np.zeros(arr.shape)
+        for idx in np.ndindex(arr.shape):
             original = arr[idx]
             arr[idx] = original + step
             up = _loss(params, feats, y)
             arr[idx] = original - step
             down = _loss(params, feats, y)
             arr[idx] = original
-            num[k] = (up - down) / (2.0 * step)
-        ana_flat = np.array([ana[idx] for idx in indices])
-        denom = max(np.abs(ana_flat).max(initial=0.0), np.abs(num).max(initial=0.0), 1e-8)
-        worst = max(worst, float(np.abs(ana_flat - num).max(initial=0.0) / denom))
+            num[idx] = (up - down) / (2.0 * step)
+        denom = max(np.abs(ana).max(), np.abs(num).max(), 1e-8)
+        worst = max(worst, float(np.abs(ana - num).max() / denom))
     return worst
 
 
@@ -460,22 +461,13 @@ def save_model(model: FastModel, path: Path | str) -> None:
     """Write the binary model format (magic, version, JSON header,
     float32 arrays, trailing CRC32)."""
     header = {
-        "featurizer": {
-            "min_n": model.featurizer.min_n,
-            "max_n": model.featurizer.max_n,
-            "bucket_count": model.featurizer.bucket_count,
-            "include_word_unigrams": model.featurizer.include_word_unigrams,
-            "embed_dim": model.featurizer.embed_dim,
-        },
+        "featurizer": dataclasses.asdict(model.featurizer),
         "hidden_size": HIDDEN_SIZE,
         "threshold": model.threshold,
         "label_order": [lang.value for lang in OUTPUT_ORDER],
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    buf = bytearray()
-    buf += MODEL_MAGIC
-    buf += struct.pack("<H", MODEL_VERSION)
-    buf += struct.pack("<I", len(header_bytes))
+    buf = bytearray(_FILE_START.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)))
     buf += header_bytes
     for name in _ARRAY_NAMES:
         buf += memoryview(np.ascontiguousarray(getattr(model, name), dtype="<f4")).cast("B")
@@ -484,34 +476,31 @@ def save_model(model: FastModel, path: Path | str) -> None:
 
 
 def load_model(path: Path | str) -> FastModel:
-    """Read a model file; forward outputs are bit-identical to the saved model."""
+    """Read a model file; forward outputs are bit-identical to the saved
+    model. Its arrays are read-only views of the file's bytes."""
     data = Path(path).read_bytes()
-    if len(data) < 4 + 2 + 4 + 4:
+    if len(data) < _FILE_START.size + 4:
         raise ModelFormatError(f"{path}: file too short to be a model ({len(data)} bytes)")
 
-    magic = data[:4]
+    magic, version, header_len = _FILE_START.unpack_from(data)
     if magic != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: bad magic: expected {MODEL_MAGIC!r}, found {magic!r}")
-    (version,) = struct.unpack_from("<H", data, 4)
     if version != MODEL_VERSION:
         raise ModelFormatError(
             f"{path}: unsupported version: expected {MODEL_VERSION}, found {version}"
         )
 
-    body, tail = data[:-4], data[-4:]
-    (stored_crc,) = struct.unpack("<I", tail)
-    actual_crc = zlib.crc32(body) & 0xFFFFFFFF
+    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    actual_crc = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ModelFormatError(
             f"{path}: checksum mismatch: file says {stored_crc:#010x}, "
             f"content hashes to {actual_crc:#010x}"
         )
 
-    (header_len,) = struct.unpack_from("<I", data, 6)
-    header_start = 10
-    header_end = header_start + header_len
+    header_end = _FILE_START.size + header_len
     try:
-        header = json.loads(data[header_start:header_end].decode("utf-8"))
+        header = json.loads(data[_FILE_START.size : header_end].decode("utf-8"))
         featurizer = header["featurizer"]
         threshold = header["threshold"]
         label_order = header["label_order"]
@@ -533,19 +522,14 @@ def load_model(path: Path | str) -> FastModel:
         raise ModelFormatError(f"{path}: unexpected label order {label_order}")
 
     shapes = _shapes(fcfg)
-    expected_bytes = sum(4 * int(np.prod(s)) for s in shapes)
-    if len(body) - header_end != expected_bytes:
+    counts = [int(np.prod(s)) for s in shapes]
+    array_bytes = len(data) - 4 - header_end
+    if array_bytes != 4 * sum(counts):
         raise ModelFormatError(
-            f"{path}: array section is {len(body) - header_end} bytes, expected {expected_bytes}"
+            f"{path}: array section is {array_bytes} bytes, expected {4 * sum(counts)}"
         )
-    arrays = []
-    offset = header_end
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arrays.append(
-            np.frombuffer(body, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
-        )
-        offset += 4 * count
+    flat = np.frombuffer(data, dtype="<f4", count=sum(counts), offset=header_end)
+    arrays = [part.reshape(s) for part, s in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
     try:
         return FastModel(fcfg, *arrays, threshold=threshold)
     except ValueError as e:

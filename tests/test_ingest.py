@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -135,6 +136,36 @@ def test_readers_reject_malformed_records_with_line_number(tmp_path, reader, bad
         reader(p)
     p.write_text(f"{_GOOD[reader]}\n", encoding="utf-8")
     assert len(reader(p)) == 1
+
+
+def _read_source(path, fmt):
+    if fmt == "jsonl":
+        return list(read_dataset(path))
+    return list(compose_training_set([CorpusSource(path, fmt, LabelSet.of("da"))], seed=0))
+
+
+@pytest.mark.parametrize(
+    "fmt, first_line, second_line",
+    [
+        ("jsonl", b'{"text": "Hej", "labels": ["da"]}\n', b'{"text": "caf\xff", "labels": ["da"]}\n'),
+        ("plaintext", b"Hej\r\n", b"caf\xff\n"),
+        ("conllu", b"# text = Hej\r", b"# text = caf\xff\n"),
+    ],
+    ids=["jsonl", "plaintext", "conllu"],
+)
+def test_non_utf8_byte_names_file_and_line(tmp_path, fmt, first_line, second_line):
+    p = tmp_path / f"bad.{fmt}"
+    p.write_bytes(first_line + second_line)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{p}:2:")):
+        _read_source(p, fmt)
+
+
+def test_line_ends_are_universal_newlines(tmp_path):
+    p = tmp_path / "mixed.txt"
+    p.write_bytes(b"hej\r\nder\rmed\n")
+    assert [item.text for item in _read_source(p, "plaintext")] == ["hej", "der", "med"]
+    p.write_bytes(b'{"text": "hej", "labels": ["da"]}\r\n{"text": "der", "labels": ["da"]}\r')
+    assert [item.text for item in _read_source(p, "jsonl")] == ["hej", "der"]
 
 
 def test_read_is_order_stable(tmp_path):

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -30,7 +32,15 @@ from scandilid.model import (
     targets_for,
     train,
 )
-from scandilid.model import _init_params, _sigmoid
+from scandilid.model import (
+    _decode,
+    _init_params,
+    _layers,
+    _pool_all,
+    _shapes,
+    _sigmoid,
+    _validation_metric,
+)
 from scandilid.synthetic import ambiguous_indices, generate_corpus
 
 
@@ -219,6 +229,29 @@ def test_duplicated_sample_gradient_linearity():
         np.testing.assert_allclose(b * y2.size, 2.0 * (a * y1.size), rtol=1e-10, atol=1e-16)
 
 
+def test_exact_match_counts_what_decoded_label_sets_count():
+    # Random logits, `other` rows, and outputs exactly at the threshold:
+    # comparing accept rows with target rows must agree with _decode.
+    cfg = small_config()
+    rng = np.random.default_rng(3)
+    params = [rng.normal(0, 1, size=shape) for shape in _shapes(cfg)]
+    params[3][1] = 0.0  # nb's logit is 0, its probability exactly 0.5
+    params[4][1] = 0.0
+    feats = [rng.integers(0, cfg.bucket_count, size=rng.integers(0, 6)) for _ in range(1000)]
+    p = _sigmoid(_layers(params, _pool_all(params[0], feats))[2])
+    choices = [LabelSet.of(*tags) for tags in [("other",), ("da",), ("nb",), ("nn", "sv"), ("da", "nb", "nn", "sv")]]
+    saw_other = False
+    for threshold in [0.5, float(p[7, 2]), float(np.quantile(p, 0.8))]:
+        decoded = [_decode(row) for row in p >= threshold]
+        gold = [d if rng.random() < 0.5 else choices[rng.integers(len(choices))] for d in decoded]
+        hits = sum(d == g for d, g in zip(decoded, gold))
+        y = np.stack([targets_for(g) for g in gold])
+        assert _validation_metric(params, feats, y, "exact_match", threshold) == hits / len(gold)
+        assert 0 < hits < len(gold)
+        saw_other |= any(d.is_other for d in decoded)
+    assert saw_other
+
+
 def two_branch_sigmoid(z):
     """Reference sigmoid: one branch per sign, so exp never overflows."""
     out = np.empty_like(z)
@@ -273,17 +306,21 @@ def tags(labels):
     return sorted(lang.value for lang in labels)
 
 
+def golden_model():
+    spec = GOLDEN["model"]
+    return FastModel(
+        FeaturizerConfig(**spec["featurizer"]),
+        *(np.array(spec[name], dtype=np.float32) for name in ("embeddings", "w1", "b1", "w2", "b2")),
+        threshold=spec["threshold"],
+    )
+
+
 def test_forward_and_predict_match_golden_fixture():
     # Pins forward and predict on a fixed model. The texts include the
     # empty text and 14 texts with an output within 2e-3 of the threshold
     # (but farther than 1e-9, so a last-bit change in summation order
     # cannot flip a decision).
-    spec = GOLDEN["model"]
-    model = FastModel(
-        FeaturizerConfig(**spec["featurizer"]),
-        *(np.array(spec[name], dtype=np.float32) for name in ("embeddings", "w1", "b1", "w2", "b2")),
-        threshold=spec["threshold"],
-    )
+    model = golden_model()
     assert len(GOLDEN["texts"]) == 50
     for text, probabilities, labels in zip(GOLDEN["texts"], GOLDEN["probabilities"], GOLDEN["labels"]):
         np.testing.assert_allclose(forward(model, text), probabilities, rtol=0, atol=1e-12)
@@ -363,6 +400,30 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.threshold == model.threshold
     for text in probe_sentences():
         assert np.array_equal(forward(model, text), forward(loaded, text)), text
+
+
+def test_saved_golden_model_bytes_are_pinned(tmp_path):
+    path = tmp_path / "m.slfx"
+    save_model(golden_model(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cc641a747825da1889079b92d98136de65ae667c55b9609d15002c8647bfc628"
+    )
+
+
+def test_load_model_holds_one_copy_of_the_weights(tmp_path):
+    cfg = FeaturizerConfig()
+    path = tmp_path / "m.slfx"
+    save_model(FastModel(cfg, *(np.zeros(shape, dtype=np.float32) for shape in _shapes(cfg))), path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert model.embeddings.shape == (cfg.bucket_count, cfg.embed_dim)
+    assert peak < 1.5 * path.stat().st_size
 
 
 def test_load_rejects_truncated_file(tmp_path):
