@@ -23,19 +23,20 @@ logger = logging.getLogger(__name__)
 
 ENTITY_CATEGORIES = ("person", "organization", "location", "misc")
 
+_END_MARKS = (".", "!", "?")
+_START_MARKS = ("-", "–", ",")
+
 
 @dataclass(frozen=True)
 class PunctConfig:
     """Random punctuation settings.
 
     A selected sentence gets exactly one alteration: one end mark
-    appended or one start mark prepended, with ``space_prob`` chance of
-    an intervening space.
+    (``.``, ``!`` or ``?``) appended or one start mark (``-``, ``–`` or
+    ``,``) prepended, with ``space_prob`` chance of an intervening space.
     """
 
     rate: float = 0.075
-    end_marks: tuple[str, ...] = (".", "!", "?")
-    start_marks: tuple[str, ...] = ("-", "–", ",")
     space_prob: float = 1 / 3
     seed: int = 0
 
@@ -44,8 +45,6 @@ class PunctConfig:
             raise DataError(f"rate must be in [0,1], got {self.rate}")
         if not 0.0 <= self.space_prob <= 1.0:
             raise DataError(f"space_prob must be in [0,1], got {self.space_prob}")
-        if not self.end_marks or not self.start_marks:
-            raise DataError("mark sets must be non-empty")
 
 
 def _refuse_protected_split(dataset: Dataset, op: str) -> None:
@@ -77,7 +76,7 @@ def punctuation_augment(dataset: Dataset, cfg: PunctConfig) -> Dataset:
             out.append(item)
             continue
         at_end = rng.random() < 0.5
-        marks = cfg.end_marks if at_end else cfg.start_marks
+        marks = _END_MARKS if at_end else _START_MARKS
         mark = marks[rng.randrange(len(marks))]
         gap = " " if rng.random() < cfg.space_prob else ""
         text = item.text + gap + mark if at_end else mark + gap + item.text
@@ -161,10 +160,11 @@ def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: in
     for index, anns in by_sentence.items():
         item = dataset[index]
         raw = item.text.encode("utf-8")
-        anns = sorted(anns, key=lambda a: a.start)
-        previous_end = 0
-        for ann in anns:
-            if ann.start < previous_end:
+        rng = _item_rng(seed, "ner", index)
+        pieces: list[bytes] = []
+        cursor = 0
+        for ann in sorted(anns, key=lambda a: a.start):
+            if ann.start < cursor:
                 raise DataError(f"overlapping entity spans in sentence {index}")
             if ann.end > len(raw):
                 raise DataError(f"span [{ann.start}, {ann.end}) out of bounds in sentence {index}")
@@ -173,12 +173,6 @@ def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: in
                     f"surface mismatch in sentence {index}: "
                     f"expected {ann.surface!r} at [{ann.start}, {ann.end})"
                 )
-            previous_end = ann.end
-
-        rng = _item_rng(seed, "ner", index)
-        pieces: list[bytes] = []
-        cursor = 0
-        for ann in anns:
             pieces.append(raw[cursor : ann.start])
             inventory = inventories[ann.category]
             replacement = inventory[rng.randrange(len(inventory))]

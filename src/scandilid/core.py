@@ -78,6 +78,11 @@ class LabelSet:
 
     @classmethod
     def of(cls, *languages: Language | str) -> "LabelSet":
+        """Build a validated LabelSet from languages or string tags.
+
+        Raises LabelError for unknown tags, no languages at all, or `other`
+        combined with any language tag. Duplicate tags collapse.
+        """
         resolved = [l if isinstance(l, Language) else Language.from_tag(l) for l in languages]
         return cls(frozenset(resolved))
 
@@ -101,22 +106,6 @@ class LabelSet:
     def with_language(self, lang: Language) -> "LabelSet":
         """A copy with `lang` added; never removes labels."""
         return LabelSet(self.languages | {lang})
-
-
-def label_set_parse(tags: Sequence[str]) -> LabelSet:
-    """Build a validated LabelSet from string tags.
-
-    Raises LabelError for unknown tags, an empty sequence, or `other`
-    combined with any language tag. Duplicate tags collapse.
-    """
-    if not tags:
-        raise LabelError("a label set must contain at least one language")
-    return LabelSet(frozenset(Language.from_tag(t) for t in tags))
-
-
-def label_set_serialize(labels: LabelSet) -> str:
-    """Comma-joined tags in canonical order; inverse of label_set_parse."""
-    return ",".join(labels.tags())
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +63,13 @@ class FeaturizerConfig:
     embed_dim: int = 32
 
     def __post_init__(self) -> None:
+        # Exact type checks, because bool is a subclass of int; a float
+        # field would otherwise fail later, inside featurize.
+        for field in fields(self):
+            kind = bool if field.name == "include_word_unigrams" else int
+            value = getattr(self, field.name)
+            if type(value) is not kind:
+                raise TypeError(f"{field.name} must be {kind.__name__}, got {value!r}")
         if not 1 <= self.min_n <= self.max_n <= 8:
             raise ValueError(f"need 1 <= min_n <= max_n <= 8, got [{self.min_n}, {self.max_n}]")
         if self.bucket_count < 1 or self.bucket_count & (self.bucket_count - 1):

@@ -21,6 +21,7 @@ tokenization artifacts.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
 import random
@@ -35,7 +36,6 @@ from .core import (
     LabeledSentence,
     LabelSet,
     Language,
-    label_set_parse,
 )
 
 logger = logging.getLogger(__name__)
@@ -107,29 +107,16 @@ def parse_conllu(stream: Iterable[str]) -> list[str]:
     are skipped; the skip count is logged as a warning.
     """
     texts: list[str] = []
-    block_has_lines = False
-    block_text: str | None = None
     skipped = 0
-
-    def flush() -> None:
-        nonlocal block_has_lines, block_text, skipped
-        if block_has_lines:
-            if block_text is None:
-                skipped += 1
-            else:
-                texts.append(block_text)
-        block_has_lines = False
-        block_text = None
-
-    for line in stream:
-        line = line.rstrip("\n")
-        if not line.strip():
-            flush()
+    lines = (line.rstrip("\n") for line in stream)
+    for blank, block in itertools.groupby(lines, key=lambda line: not line.strip()):
+        if blank:
             continue
-        block_has_lines = True
-        if block_text is None and line.startswith(_TEXT_PREFIX):
-            block_text = line[len(_TEXT_PREFIX):]
-    flush()
+        found = [line[len(_TEXT_PREFIX):] for line in block if line.startswith(_TEXT_PREFIX)]
+        if found:
+            texts.append(found[0])
+        else:
+            skipped += 1
 
     if skipped:
         logger.warning("skipped %d CoNLL-U block(s) without a '# text =' comment", skipped)
@@ -193,7 +180,7 @@ def write_jsonl(records: Iterable[dict], path: Path | str) -> None:
 def _parse_item(record: dict) -> LabeledSentence:
     return LabeledSentence(
         typed_field(record, "text", str),
-        label_set_parse(typed_field(record, "labels", list)),
+        LabelSet.of(*typed_field(record, "labels", list)),
         typed_field(record, "source", str, optional=True),
     )
 
@@ -208,10 +195,6 @@ def _item_record(item: LabeledSentence) -> dict:
 def read_dataset(path: Path | str, split: str = "unsplit") -> Dataset:
     """Read a JSONL dataset; order equals file order on every read."""
     return Dataset(split, tuple(read_jsonl(path, _parse_item)))
-
-
-def serialize_record(item: LabeledSentence) -> str:
-    return json.dumps(_item_record(item), ensure_ascii=False)
 
 
 def write_dataset(dataset: Dataset, path: Path | str) -> None:

@@ -20,7 +20,7 @@ Pattern definitions:
 Replacement is ordered URL, mail, number, so an address inside a URL is
 consumed by the URL pattern first. Placeholders contain no digits, ``@``
 or scheme prefix, hence a second pass never re-matches them and
-``normalize_regex`` is idempotent.
+``normalize_text``, the one normalization function, is idempotent.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ _NUM_RE = re.compile(r"(?<![\w-])[+-]?\d+(?:[ .,]\d+)*(?![\w-])")
 class NormalizeConfig:
     """Which canonicalization steps to apply.
 
-    All flags default to on, matching the training pipeline; raw
-    ingestion uses :meth:`disabled`.
+    All flags default to on, matching the training pipeline;
+    :meth:`disabled` turns every step off.
     """
 
     replace_urls: bool = True
@@ -55,12 +55,13 @@ class NormalizeConfig:
         return cls(replace_urls=False, replace_emails=False, replace_numbers=False, lowercase=False)
 
 
-def normalize_regex(text: str, cfg: NormalizeConfig | None = None) -> str:
-    """Replace URLs, email addresses and numbers with atomic placeholders.
+def normalize_text(text: str, cfg: NormalizeConfig | None = None) -> str:
+    """Replace URLs, email addresses and numbers with atomic placeholders,
+    then lowercase; each step runs only if its ``cfg`` flag is set.
 
     Idempotent: the placeholders can never be re-matched by any of the
-    three patterns. Does not lowercase; see :func:`normalize_text` for
-    the combined pipeline step.
+    three patterns, and lowercasing runs last (the lowercased placeholders
+    are just as unmatchable as the originals).
     """
     cfg = cfg or NormalizeConfig()
     if cfg.replace_urls:
@@ -69,30 +70,14 @@ def normalize_regex(text: str, cfg: NormalizeConfig | None = None) -> str:
         text = _MAIL_RE.sub(MAIL_PLACEHOLDER, text)
     if cfg.replace_numbers:
         text = _NUM_RE.sub(NUM_PLACEHOLDER, text)
-    return text
-
-
-def lowercase(text: str) -> str:
-    """Locale-independent Unicode lowercasing."""
-    return text.lower()
-
-
-def normalize_text(text: str, cfg: NormalizeConfig | None = None) -> str:
-    """Full canonicalization: placeholder replacement, then lowercasing.
-
-    Lowercasing runs last so the combined step is also idempotent (the
-    lowercased placeholders are just as unmatchable as the originals).
-    """
-    cfg = cfg or NormalizeConfig()
-    text = normalize_regex(text, cfg)
     if cfg.lowercase:
-        text = lowercase(text)
+        text = text.lower()
     return text
 
 
-# Hand-enumerated behaviour fixtures for `normalize_regex` with the
-# default config. These pairs are the authoritative definition of the
-# pattern edge cases; tests assert them verbatim.
+# Hand-enumerated behaviour fixtures for `normalize_text` under
+# `NormalizeConfig(lowercase=False)`. These pairs are the authoritative
+# definition of the pattern edge cases; tests assert them verbatim.
 REGEX_FIXTURES: tuple[tuple[str, str], ...] = (
     ("Skriv til ola@example.no i dag", "Skriv til ⟨mail⟩ i dag"),
     ("Ingen treff her.", "Ingen treff her."),

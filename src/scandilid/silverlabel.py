@@ -105,7 +105,7 @@ def extend_labels(
     are skipped. Applying the same records twice yields the same
     dataset (idempotent).
     """
-    labels: list[set[Language]] = [set(item.labels.languages) for item in dataset]
+    labels: list[LabelSet] = [item.labels for item in dataset]
     summary = ExtendSummary()
 
     for record in records:
@@ -119,12 +119,12 @@ def extend_labels(
         if canonical_compare(item.text, record.translation):
             summary.matches += 1
             if record.target not in labels[record.item_index]:
-                labels[record.item_index].add(record.target)
+                labels[record.item_index] = labels[record.item_index].with_language(record.target)
                 summary.added[record.target] += 1
 
     items = [
-        LabeledSentence(item.text, LabelSet(frozenset(new)), item.source)
-        if frozenset(new) != item.labels.languages
+        LabeledSentence(item.text, new, item.source)
+        if new is not item.labels
         else item
         for item, new in zip(dataset, labels)
     ]

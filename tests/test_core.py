@@ -10,8 +10,6 @@ from scandilid.core import (
     LabelError,
     LabelSet,
     Language,
-    label_set_parse,
-    label_set_serialize,
 )
 
 
@@ -22,40 +20,40 @@ def test_exactly_five_languages():
 
 
 def test_parse_multi_label():
-    labels = label_set_parse(["nb", "da"])
+    labels = LabelSet.of("nb", "da")
     assert labels == LabelSet.of(Language.NB, Language.DA)
     assert labels.tags() == ("da", "nb")
 
 
 def test_parse_other_singleton():
-    labels = label_set_parse(["other"])
+    labels = LabelSet.of("other")
     assert labels.is_other
     assert len(labels) == 1
 
 
 def test_parse_rejects_other_combined_with_language():
-    with pytest.raises(LabelError):
-        label_set_parse(["other", "nb"])
+    with pytest.raises(LabelError, match="'other' is exclusive"):
+        LabelSet.of("other", "nb")
 
 
 def test_parse_rejects_unknown_tag():
-    with pytest.raises(LabelError):
-        label_set_parse(["nb", "no"])
+    with pytest.raises(LabelError, match="unknown language tag 'no'"):
+        LabelSet.of("nb", "no")
 
 
 def test_parse_rejects_empty_sequence():
-    with pytest.raises(LabelError):
-        label_set_parse([])
+    with pytest.raises(LabelError, match="at least one language"):
+        LabelSet.of()
 
 
 def test_serialize_canonical_order():
-    assert label_set_serialize(label_set_parse(["nb", "da"])) == "da,nb"
-    assert label_set_serialize(label_set_parse(["sv"])) == "sv"
-    assert label_set_serialize(label_set_parse(["nn", "nb", "da", "sv"])) == "da,nb,nn,sv"
+    assert LabelSet.of("nb", "da").tags() == ("da", "nb")
+    assert LabelSet.of("sv").tags() == ("sv",)
+    assert LabelSet.of("nn", "nb", "da", "sv").tags() == ("da", "nb", "nn", "sv")
 
 
 def test_duplicate_tags_collapse():
-    assert label_set_parse(["nb", "nb"]) == label_set_parse(["nb"])
+    assert LabelSet.of("nb", "nb") == LabelSet.of("nb")
 
 
 def test_construction_rejects_exclusivity_violation_directly():
@@ -82,7 +80,7 @@ valid_label_sets = st.one_of(
 @given(valid_label_sets)
 def test_serialize_parse_round_trip(languages):
     labels = LabelSet(languages)
-    assert label_set_parse(label_set_serialize(labels).split(",")) == labels
+    assert LabelSet.of(*labels.tags()) == labels
 
 
 @given(valid_label_sets)

@@ -136,6 +136,14 @@ def test_config_validation():
         FeaturizerConfig(bucket_count=1000)  # not a power of two
     with pytest.raises(ValueError):
         FeaturizerConfig(embed_dim=0)
+    with pytest.raises(TypeError):
+        FeaturizerConfig(min_n=1.5)
+    with pytest.raises(TypeError):
+        FeaturizerConfig(min_n=True)
+    with pytest.raises(TypeError):
+        FeaturizerConfig(include_word_unigrams="no")
+    with pytest.raises(TypeError):
+        FeaturizerConfig(embed_dim=8.0)
 
 
 def test_reference_head_preset():

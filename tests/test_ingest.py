@@ -13,7 +13,6 @@ from scandilid.ingest import (
     dataset_stats,
     parse_conllu,
     read_dataset,
-    serialize_record,
     write_dataset,
 )
 from scandilid.augment import read_entity_annotations
@@ -190,11 +189,17 @@ def test_write_read_round_trip(tmp_path):
     assert back == d
 
 
-def test_serialize_record_canonical_order_and_optional_source():
-    item = LabeledSentence("Hej", LabelSet.of("nb", "da"))
-    assert serialize_record(item) == '{"text": "Hej", "labels": ["da", "nb"]}'
-    with_src = LabeledSentence("Hej", LabelSet.of("da"), source="x")
-    assert serialize_record(with_src) == '{"text": "Hej", "labels": ["da"], "source": "x"}'
+def test_write_dataset_canonical_order_and_optional_source(tmp_path):
+    items = (
+        LabeledSentence("Hej", LabelSet.of("nb", "da")),
+        LabeledSentence("Hej", LabelSet.of("da"), source="x"),
+    )
+    p = tmp_path / "out.jsonl"
+    write_dataset(Dataset("train", items), p)
+    assert p.read_bytes() == (
+        b'{"text": "Hej", "labels": ["da", "nb"]}\n'
+        b'{"text": "Hej", "labels": ["da"], "source": "x"}\n'
+    )
 
 
 @pytest.fixture

@@ -9,37 +9,38 @@ from scandilid.normalize import (
     REGEX_FIXTURES,
     URL_PLACEHOLDER,
     NormalizeConfig,
-    lowercase,
-    normalize_regex,
     normalize_text,
 )
 
 PLACEHOLDERS = (URL_PLACEHOLDER, MAIL_PLACEHOLDER, NUM_PLACEHOLDER)
+# Placeholder replacement alone, and lowercasing alone.
+REGEX_ONLY = NormalizeConfig(lowercase=False)
+LOWERCASE_ONLY = NormalizeConfig(replace_urls=False, replace_emails=False, replace_numbers=False)
 
 
 def test_regex_fixtures_verbatim():
     for text, expected in REGEX_FIXTURES:
-        assert normalize_regex(text) == expected, text
+        assert normalize_text(text, REGEX_ONLY) == expected, text
 
 
 def test_email_replacement():
-    assert normalize_regex("Skriv til ola@example.no i dag") == "Skriv til ⟨mail⟩ i dag"
+    assert normalize_text("Skriv til ola@example.no i dag", REGEX_ONLY) == "Skriv til ⟨mail⟩ i dag"
 
 
 def test_identity_when_nothing_matches():
-    assert normalize_regex("Ingen treff her.") == "Ingen treff her."
+    assert normalize_text("Ingen treff her.", REGEX_ONLY) == "Ingen treff her."
 
 
 def test_url_and_grouped_number():
     # Space/comma-grouped digits collapse to a single number placeholder.
-    assert normalize_regex("Se https://a.no og 1 234,5 kr") == "Se ⟨URL⟩ og ⟨num⟩ kr"
+    assert normalize_text("Se https://a.no og 1 234,5 kr", REGEX_ONLY) == "Se ⟨URL⟩ og ⟨num⟩ kr"
 
 
 def test_flags_are_independent():
     text = "Se www.a.no og 7 hos ola@a.no"
     cfg = NormalizeConfig(replace_urls=False, replace_emails=True, replace_numbers=False, lowercase=False)
-    assert normalize_regex(text, cfg) == "Se www.a.no og 7 hos ⟨mail⟩"
-    assert normalize_regex(text, NormalizeConfig.disabled()) == text
+    assert normalize_text(text, cfg) == "Se www.a.no og 7 hos ⟨mail⟩"
+    assert normalize_text(text, NormalizeConfig.disabled()) == text
 
 
 def _fuzz_corpus(n, seed=1234):
@@ -61,15 +62,15 @@ def _fuzz_corpus(n, seed=1234):
 
 def test_idempotence_on_fuzz_corpus():
     for text in _fuzz_corpus(10_000):
-        once = normalize_regex(text)
-        assert normalize_regex(once) == once, text
+        once = normalize_text(text, REGEX_ONLY)
+        assert normalize_text(once, REGEX_ONLY) == once, text
 
 
 @settings(max_examples=300)
 @given(st.text(max_size=120))
 def test_idempotence_on_arbitrary_text(text):
-    once = normalize_regex(text)
-    assert normalize_regex(once) == once
+    once = normalize_text(text, REGEX_ONLY)
+    assert normalize_text(once, REGEX_ONLY) == once
 
 
 @settings(max_examples=300)
@@ -82,7 +83,7 @@ def test_combined_pipeline_idempotent(text):
 def test_placeholder_atomicity():
     # No placeholder ever ends up nested inside another one.
     for text in _fuzz_corpus(2_000, seed=99):
-        out = normalize_regex(text)
+        out = normalize_text(text, REGEX_ONLY)
         for ph in PLACEHOLDERS:
             start = 0
             while (i := out.find(ph, start)) != -1:
@@ -92,18 +93,18 @@ def test_placeholder_atomicity():
 
 
 def test_lowercase_scandinavian_letters():
-    assert lowercase("Låten Heter X") == "låten heter x"
-    assert lowercase("ÆØÅ ÄÖ") == "æøå äö"
+    assert normalize_text("Låten Heter X", LOWERCASE_ONLY) == "låten heter x"
+    assert normalize_text("ÆØÅ ÄÖ", LOWERCASE_ONLY) == "æøå äö"
 
 
 def test_lowercase_identity_on_lowercase_input():
     text = "allerede små bokstaver æøå"
-    assert lowercase(text) == text
+    assert normalize_text(text, LOWERCASE_ONLY) == text
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzæøåäöABCDEFGHIJKLMNOPQRSTUVWXYZÆØÅÄÖ .,!?-", max_size=200))
 def test_lowercase_preserves_length_for_scandinavian_alphabet(text):
-    assert len(lowercase(text)) == len(text)
+    assert len(normalize_text(text, LOWERCASE_ONLY)) == len(text)
 
 
 def test_normalize_text_lowercases_after_replacement():

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,34 @@ def test_only_ingest_and_model_import_json():
             if any(name.split(".")[0] == "json" for name in names):
                 importers.add(path.stem)
     assert importers <= {"ingest", "model"}, sorted(importers - {"ingest", "model"})
+
+
+FAILING_AND_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_end_the_run(tmp_path):
+    # After a failing @given test, Hypothesis imports libcst to write a
+    # patch, and that import warns; the suite's warning filters must not
+    # turn the warning into an INTERNALERROR that skips every later test.
+    (tmp_path / "test_sample.py").write_text(FAILING_AND_PASSING, encoding="utf-8")
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider", "-q", "test_sample.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    output = completed.stdout + completed.stderr
+    assert "INTERNALERROR" not in output, output
+    assert "1 failed, 1 passed" in output, output
