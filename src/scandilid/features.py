@@ -22,6 +22,12 @@ chains advance one byte per step, for as many steps as the longest
 n-gram has bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A
 gram's hash is then the state of the chain at its first byte after its
 last byte. A whole token's chain is finished from there byte by byte.
+
+Each numpy pass has a fixed cost (about 75 µs on a 2-CPU VM) however
+few tokens it hashes, so ``featurize_many`` takes its texts
+``_CHUNK_TEXTS`` (256) at a time and sends every uncached token of a
+chunk through one pass; training featurizes its corpus this way.
+Chunks bound the split tokens held at once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -141,6 +149,26 @@ def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     return out
 
 
+def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
+    """Each token's bucket ids as int64 bytes. The tokens missing from the
+    cache are hashed together in one pass and inserted into it."""
+    key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
+    cache = _caches.get(key)
+    if cache is None:
+        cache = _caches.setdefault(key, OrderedDict())
+    # Each token's ids are read once, here, and fresh ids are used as
+    # hashed: another thread, or this insertion, may evict them.
+    parts = [cache.get(token) for token in tokens]
+    if None in parts:
+        missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
+        fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
+        parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
+        cache.update(fresh)
+        while len(cache) > _CACHE_TOKENS:
+            cache.popitem(last=False)
+    return parts
+
+
 def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
     """Bucket ids (with multiplicity) for all grams of `text`.
 
@@ -150,18 +178,21 @@ def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
     because bucket_count is a power of two. Safe to call from several
     threads.
     """
-    key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
-    cache = _caches.get(key)
-    if cache is None:
-        cache = _caches.setdefault(key, OrderedDict())
-    tokens = text.split()
-    # Each token's ids are read once, here: another thread may evict them.
-    parts = [cache.get(token) for token in tokens]
-    if None in parts:
-        missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
-        fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
-        parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
-        cache.update(fresh)
-        while len(cache) > _CACHE_TOKENS:
-            cache.popitem(last=False)
-    return np.frombuffer(bytearray().join(parts), np.int64)
+    return np.frombuffer(bytearray().join(_token_ids(text.split(), cfg)), np.int64)
+
+
+# Texts whose uncached tokens `featurize_many` hashes in one pass.
+_CHUNK_TEXTS = 256
+
+
+def featurize_many(texts: Sequence[str], cfg: FeaturizerConfig) -> list[np.ndarray]:
+    """``[featurize(text, cfg) for text in texts]``, with one hashing pass
+    per ``_CHUNK_TEXTS`` texts instead of one per text."""
+    out = []
+    for lo in range(0, len(texts), _CHUNK_TEXTS):
+        split = [text.split() for text in texts[lo : lo + _CHUNK_TEXTS]]
+        parts = _token_ids([token for tokens in split for token in tokens], cfg)
+        ends = list(accumulate(map(len, split)))
+        for start, end in zip([0] + ends[:-1], ends):
+            out.append(np.frombuffer(bytearray().join(parts[start:end]), np.int64))
+    return out

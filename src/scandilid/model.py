@@ -11,6 +11,11 @@ Training is plain minibatch gradient descent (momentum on the dense
 head only) on the mean binary cross-entropy of the four outputs.
 Weights are stored as float32; training and loss accumulation run in
 float64 so the analytic gradients verify against finite differences.
+The embedding gradient is sparse, one row per gram occurrence, and
+`_scatter_add` adds it into the table as one flat 1-D `np.add.at` over
+element indices, which numpy runs on a fast path; each element takes
+its additions in the same order as the 2-D form, so every bit is the
+same.
 
 Serving, the training loss, backprop, validation and the gradient
 check share one forward path: `_pool` averages a sentence's embedding
@@ -37,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
-from .features import HIDDEN_SIZE, N_OUTPUTS, FeaturizerConfig, featurize
+from .features import HIDDEN_SIZE, N_OUTPUTS, FeaturizerConfig, featurize, featurize_many
 
 logger = logging.getLogger(__name__)
 
@@ -122,10 +127,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows of one sentence's grams, in float64."""
+    """Mean of the embedding rows of one sentence's grams, in float64.
+    The sum and division are `mean`'s own, bit for bit, without its wrapper."""
     if ids.size == 0:
         return np.zeros(emb.shape[1], dtype=np.float64)
-    return emb[ids].mean(axis=0, dtype=np.float64)
+    return np.add.reduce(emb[ids], axis=0, dtype=np.float64) / ids.size
 
 
 def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
@@ -227,11 +233,18 @@ def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.n
     return loss, [emb_grad, dz1.T @ e, dz1.sum(axis=0), dz2.T @ h, dz2.sum(axis=0)]
 
 
+def _scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``table[ids[k]] += rows[k]`` for every k in order, in place. `table`
+    must be C-contiguous, so that its flat reshape is a view."""
+    dim = table.shape[1]
+    np.add.at(table.reshape(-1), (ids[:, None] * dim + np.arange(dim)).ravel(), rows.ravel())
+
+
 def loss_and_grads(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
     """Mean BCE and dense gradients for every parameter array, in parameter order."""
     loss, (emb_grad, *head_grads) = _backprop(params, feats, y)
     gemb = np.zeros_like(params[0])
-    np.add.at(gemb, *emb_grad)
+    _scatter_add(gemb, *emb_grad)
     return loss, [gemb, *head_grads]
 
 
@@ -310,9 +323,9 @@ def train(
     if len(train_set) == 0:
         raise TrainingError("training set is empty")
 
-    feats = [featurize(item.text, fcfg) for item in train_set]
+    feats = featurize_many([item.text for item in train_set], fcfg)
     y = _targets(train_set)
-    vfeats = [featurize(item.text, fcfg) for item in valid_set]
+    vfeats = featurize_many([item.text for item in valid_set], fcfg)
     vy = _targets(valid_set)
 
     rng = np.random.default_rng(tcfg.seed)
@@ -374,7 +387,7 @@ def train(
             # Sparse embedding update: only touched rows move (plain SGD,
             # no momentum, which keeps the update cost proportional to
             # the batch's gram count).
-            np.add.at(emb, ids, -lr * rows)
+            _scatter_add(emb, ids, -lr * rows)
 
             step += 1
             if step % tcfg.eval_interval == 0:
@@ -423,7 +436,7 @@ def gradient_check(
     """
     if fcfg.bucket_count > 64 or fcfg.embed_dim > 8:
         raise ValueError("gradient_check needs a small model (bucket_count <= 64, embed_dim <= 8)")
-    feats = [featurize(item.text, fcfg) for item in batch]
+    feats = featurize_many([item.text for item in batch], fcfg)
     y = _targets(batch)
 
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from scandilid.features import (
     REFERENCE_HEAD_EMBED_DIM,
     FeaturizerConfig,
     featurize,
+    featurize_many,
     fnv1a64,
 )
 
@@ -209,9 +210,29 @@ def test_mutating_a_result_leaves_later_results_unchanged(small_cache):
     assert featurize("hej hej med dig", cfg).tolist() == expected
 
 
-def test_concurrent_featurize_with_evicting_cache(small_cache):
+def test_featurize_many_matches_featurize_and_oracle(small_cache):
+    # Three chunks of texts; each chunk holds over 100 distinct tokens, so
+    # the 64-token cache evicts inside it. Empty texts and repeated tokens
+    # included.
+    cfg = FeaturizerConfig()
+    texts = [" ".join(f"ord{i % 37}ø{j} igjen igjen" for j in range(i % 4)) for i in range(600)]
+    texts[5], texts[256], texts[599] = "", "  \t ", "igjen"
+    expected = [oracle_ids(text, cfg) for text in texts]
+    for _ in ("cold", "warm"):
+        got = featurize_many(texts, cfg)
+        assert all(ids.dtype == np.int64 for ids in got)
+        assert [ids.tolist() for ids in got] == expected
+        assert [featurize(text, cfg).tolist() for text in texts] == expected
+    assert len(small_cache[(1, 4, 1 << 18, True)]) == 64
+    assert featurize_many([], cfg) == []
+
+
+def test_concurrent_featurize_with_evicting_cache(small_cache, monkeypatch):
     # Four threads share a 64-token cache and keep filling it with new
     # tokens, so tokens a call looked up are evicted before it joins them.
+    # Two threads call featurize_many, in chunks of 16 texts that
+    # interleave with the other threads' calls.
+    monkeypatch.setattr(features, "_CHUNK_TEXTS", 16)
     cfg = FeaturizerConfig()
     texts = [
         " ".join(f"ord{t}ø{i}x{j} fælles{j % 3}" for j in range(6)) for t in range(4) for i in range(150)
@@ -221,9 +242,9 @@ def test_concurrent_featurize_with_evicting_cache(small_cache):
 
     def work(offset):
         try:
-            for text in texts[offset::4]:
-                if featurize(text, cfg).tolist() != expected[text]:
-                    errors.append(text)
+            mine = texts[offset::4]
+            got = featurize_many(mine, cfg) if offset % 2 else [featurize(text, cfg) for text in mine]
+            errors.extend(text for text, ids in zip(mine, got, strict=True) if ids.tolist() != expected[text])
         except Exception as e:  # reported through `errors`
             errors.append(repr(e))
 

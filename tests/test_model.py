@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scandilid import features
 from scandilid.core import Dataset, LabeledSentence, LabelSet, Language
 from scandilid.features import FeaturizerConfig, featurize
 from scandilid.model import (
@@ -36,7 +37,9 @@ from scandilid.model import (
     _decode,
     _init_params,
     _layers,
+    _pool,
     _pool_all,
+    _scatter_add,
     _shapes,
     _sigmoid,
     _validation_metric,
@@ -210,6 +213,32 @@ def test_untouched_embedding_rows_have_zero_gradient():
             assert np.all(grads[0][row] == 0.0)
 
 
+@pytest.mark.parametrize("dim", [1, 8, 32])
+def test_scatter_add_matches_two_dimensional_add_at_bit_for_bit(dim):
+    # Ids repeated hundreds of times in one batch, far more than the tiny
+    # golden corpus reaches: every table element must take its additions
+    # in the order the 2-D np.add.at gives them.
+    rng = np.random.default_rng(dim)
+    ids = rng.zipf(1.3, size=6000) % 512
+    rows = rng.normal(0, 1, size=(ids.size, dim))
+    table = rng.uniform(-1, 1, size=(512, dim))
+    expected = table.copy()
+    np.add.at(expected, ids, rows)
+    _scatter_add(table, ids, rows)
+    assert np.bincount(ids).max() > 100
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_pool_is_mean_bit_for_bit(dtype, dim):
+    rng = np.random.default_rng(dim)
+    emb = rng.normal(0, 1, size=(1024, dim)).astype(dtype)
+    for length in range(1, 58):
+        ids = rng.integers(0, 1024, size=length)
+        assert _pool(emb, ids).tobytes() == emb[ids].mean(axis=0, dtype=np.float64).tobytes()
+
+
 def test_duplicated_sample_gradient_linearity():
     cfg = small_config()
     item = GRADCHECK_BATCH[1]
@@ -352,6 +381,30 @@ def test_loss_selection_saves_pinned_model(tiny_corpus, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "6400d6ac3b3d4c73a790c68a23941e1a23a18cb1e1f6537227883490b4c9510c"
     )
+
+
+def test_training_hashes_once_per_chunk_of_texts(monkeypatch):
+    # A hashing pass has a fixed cost however few tokens it hashes, so
+    # train featurizes its texts 256 at a time: with every token new, N
+    # train and M validation texts take ceil(N/256) + ceil(M/256) passes.
+    monkeypatch.setattr(features, "_caches", {})
+    calls = []
+    hash_tokens = features._hash_tokens
+
+    def counting(tokens, cfg):
+        calls.append(len(tokens))
+        return hash_tokens(tokens, cfg)
+
+    monkeypatch.setattr(features, "_hash_tokens", counting)
+
+    def new_words(split, count):
+        items = [LabeledSentence(f"{split}{i}a {split}{i}b", LabelSet.of("da")) for i in range(count)]
+        return Dataset(split, tuple(items))
+
+    n, m = 600, 300
+    train(new_words("train", n), new_words("validation", m), small_config(), tiny_train_config(epochs=1))
+    assert len(calls) == math.ceil(n / 256) + math.ceil(m / 256)
+    assert sum(calls) == 2 * (n + m)
 
 
 def test_training_is_deterministic(tiny_corpus):
