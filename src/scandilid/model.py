@@ -31,6 +31,7 @@ equals comparing decoded label sets.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import struct
@@ -77,6 +78,11 @@ def _shapes(cfg: FeaturizerConfig) -> list[tuple[int, ...]]:
     ]
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+
+
 @dataclass(frozen=True, eq=False)
 class FastModel:
     """Immutable trained classifier; safe to share across threads.
@@ -106,8 +112,7 @@ class FastModel:
                 raise ValueError(f"{name} contains non-finite values")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must be in (0,1), got {self.threshold}")
+        _check_threshold(self.threshold)
 
     def head_parameter_count(self) -> int:
         """Dense-head parameters; the embedding table is not counted."""
@@ -263,9 +268,14 @@ class TrainConfig:
     selection_metric: str = "exact_match"
 
     def __post_init__(self) -> None:
+        # Exact type checks, as in FeaturizerConfig: bool is a subclass of int.
+        for name in ("epochs", "batch_size", "eval_interval", "patience"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be int, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_interval < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, eval_interval and patience must be positive")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails this test too
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
@@ -314,12 +324,15 @@ def train(
 ) -> TrainResult:
     """Train a FastModel; deterministic given the config seed.
 
-    Every ``eval_interval`` optimizer steps the selection metric is
-    computed on ``valid_set`` and the best-scoring checkpoint is kept;
-    training stops early after ``patience`` evaluations without
-    improvement. Texts are featurized as-is: normalize beforehand if
-    the pipeline calls for it.
+    Every ``eval_interval`` optimizer steps, and after the last step
+    when it falls between intervals, the selection metric is computed
+    on ``valid_set`` and the best-scoring checkpoint is kept; training
+    stops early after ``patience`` evaluations without improvement.
+    With an empty ``valid_set`` the final weights are returned, with
+    ``best_metric`` NaN. Texts are featurized as-is: normalize
+    beforehand if the pipeline calls for it.
     """
+    _check_threshold(threshold)
     if len(train_set) == 0:
         raise TrainingError("training set is empty")
 
@@ -337,73 +350,58 @@ def train(
     initial_loss = _loss(params, feats, y)
     logger.info("training on %d items (%d validation), initial loss %.4f", n, len(valid_set), initial_loss)
 
+    starts = range(0, n, tcfg.batch_size)
+    last_step = tcfg.epochs * len(starts)
     history: list[EvalPoint] = []
-    best_model: FastModel | None = None
-    best_metric = -np.inf
-    best_step = 0
+    best_model: FastModel | None = None  # None until the first evaluation
+    best_metric, best_step = float("nan"), last_step  # kept if nothing is evaluated
     evals_without_improvement = 0
-    step = 0
-    loss_since_eval: list[float] = []
-    epoch_losses: list[float] = []
+    losses: list[float] = []  # one per step
 
-    def run_eval(epoch: int) -> None:
-        nonlocal best_metric, best_step, best_model, evals_without_improvement
-        if not len(valid_set):
-            return
-        metric = _validation_metric(params, vfeats, vy, tcfg.selection_metric, threshold)
-        train_loss = float(np.mean(loss_since_eval))
-        loss_since_eval.clear()
-        history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
-        if best_model is None or metric > best_metric:
-            best_metric = metric
-            best_step = step
-            # The checkpoint is a float32 model; drop the old one first so
-            # at most one checkpoint is alive beside the live parameters.
-            best_model = None
-            best_model = FastModel(fcfg, *params, threshold=threshold)
-            evals_without_improvement = 0
-        else:
-            evals_without_improvement += 1
+    for step, (epoch, start) in enumerate(itertools.product(range(tcfg.epochs), starts), start=1):
+        if start == 0:
+            order = rng.permutation(n)
+        batch = order[start : start + tcfg.batch_size]
+        loss, ((ids, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
+        if not np.isfinite(loss):
+            raise TrainingError(
+                f"non-finite loss at step {len(losses)} (epoch {epoch}); "
+                "lower the learning rate or check the data"
+            )
+        losses.append(loss)
 
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss: list[float] = []
-        for start in range(0, n, tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            loss, ((ids, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at step {step} (epoch {epoch}); "
-                    "lower the learning rate or check the data"
-                )
-            epoch_loss.append(loss)
-            loss_since_eval.append(loss)
+        lr = tcfg.learning_rate
+        for v, g, a in zip(velocity, head_grads, head):
+            v *= tcfg.momentum
+            v -= lr * g
+            a += v
+        # Sparse embedding update: only touched rows move (plain SGD,
+        # no momentum, which keeps the update cost proportional to
+        # the batch's gram count).
+        _scatter_add(emb, ids, -lr * rows)
 
-            lr = tcfg.learning_rate
-            for v, g, a in zip(velocity, head_grads, head):
-                v *= tcfg.momentum
-                v -= lr * g
-                a += v
-            # Sparse embedding update: only touched rows move (plain SGD,
-            # no momentum, which keeps the update cost proportional to
-            # the batch's gram count).
-            _scatter_add(emb, ids, -lr * rows)
-
-            step += 1
-            if step % tcfg.eval_interval == 0:
-                run_eval(epoch)
+        if len(valid_set) and (step % tcfg.eval_interval == 0 or step == last_step):
+            metric = _validation_metric(params, vfeats, vy, tcfg.selection_metric, threshold)
+            train_loss = float(np.mean(losses[history[-1].step if history else 0 :]))
+            history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
+            if best_model is None or metric > best_metric:
+                best_metric = metric
+                best_step = step
+                # The checkpoint is a float32 model; drop the old one first so
+                # at most one checkpoint is alive beside the live parameters.
+                best_model = None
+                best_model = FastModel(fcfg, *params, threshold=threshold)
+                evals_without_improvement = 0
+            else:
+                evals_without_improvement += 1
                 if evals_without_improvement >= tcfg.patience:
                     logger.info("early stop at step %d (no improvement in %d evals)", step, tcfg.patience)
                     break
-        epoch_losses.append(float(np.mean(epoch_loss)))
-        if evals_without_improvement >= tcfg.patience:
-            break
 
-    if loss_since_eval:
-        run_eval(epoch)
-    if not len(valid_set):
+    # An epoch cut short by an early stop counts with the steps it ran.
+    epoch_losses = [float(np.mean(losses[i : i + len(starts)])) for i in range(0, len(losses), len(starts))]
+    if best_model is None:  # no validation set
         best_model = FastModel(fcfg, *params, threshold=threshold)
-        best_metric, best_step = float("nan"), step
 
     return TrainResult(
         model=best_model,

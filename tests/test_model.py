@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scandilid import features
+from scandilid import model as model_module
 from scandilid.core import Dataset, LabeledSentence, LabelSet, Language
-from scandilid.features import FeaturizerConfig, featurize
+from scandilid.features import FeaturizerConfig, featurize, featurize_many
 from scandilid.model import (
     MODEL_MAGIC,
     OUTPUT_ORDER,
@@ -37,6 +38,7 @@ from scandilid.model import (
     _decode,
     _init_params,
     _layers,
+    _loss,
     _pool,
     _pool_all,
     _scatter_add,
@@ -426,6 +428,56 @@ def test_zero_learning_rate_freezes_weights(tiny_corpus):
         assert np.array_equal(getattr(one.model, name), getattr(three.model, name))
 
 
+def zero_rate_step_losses(fit, cfg, tcfg):
+    """Every step's batch loss for weights that never move, with the
+    initial weights and batch orders drawn as `train` draws them."""
+    rng = np.random.default_rng(tcfg.seed)
+    params = _init_params(cfg, rng)
+    feats = featurize_many([item.text for item in fit], cfg)
+    y = np.array([targets_for(item.labels) for item in fit])
+    losses = []
+    for _ in range(tcfg.epochs):
+        order = rng.permutation(len(fit))
+        for start in range(0, len(fit), tcfg.batch_size):
+            batch = order[start : start + tcfg.batch_size]
+            losses.append(_loss(params, [feats[i] for i in batch], y[batch]))
+    return losses
+
+
+def test_training_stops_after_patience_evaluations_without_improvement(tiny_corpus):
+    # A zero learning rate never improves the metric: the evaluation at
+    # step 50 stays best and the run stops two evaluations later, at
+    # step 150, 27 steps into the fourth epoch (41 steps an epoch).
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
+    tcfg = tiny_train_config(learning_rate=0.0, patience=2)
+    result = train(fit, valid, cfg, tcfg)
+    assert [(p.step, p.epoch) for p in result.history] == [(50, 1), (100, 2), (150, 3)]
+    assert result.best_step == 50
+    assert result.best_metric == result.history[0].metric
+    assert len({p.metric for p in result.history}) == 1
+    losses = zero_rate_step_losses(fit, cfg, tcfg)
+    eval_spans = [(0, 50), (50, 100), (100, 150)]
+    epoch_spans = [(0, 41), (41, 82), (82, 123), (123, 150)]
+    assert [p.train_loss for p in result.history] == [float(np.mean(losses[a:b])) for a, b in eval_spans]
+    assert result.epoch_losses == [float(np.mean(losses[a:b])) for a, b in epoch_spans]
+
+
+def test_training_without_validation_returns_final_weights(tiny_corpus, tmp_path):
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
+    result = train(fit, valid.with_items(()), cfg, tiny_train_config(epochs=3))
+    assert result.history == []
+    assert math.isnan(result.best_metric)
+    assert result.best_step == 3 * 41
+    assert len(result.epoch_losses) == 3
+    path = tmp_path / "m.slfx"
+    save_model(result.model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9c7a902cf72573768b4558690f2483d82b91d296af9f52ca367d58f7a98e79e0"
+    )
+
+
 def test_training_rejects_empty_set():
     cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
     with pytest.raises(TrainingError, match="empty"):
@@ -440,9 +492,27 @@ def test_training_aborts_on_divergence(tiny_corpus):
             train(fit, valid, cfg, tiny_train_config(learning_rate=1e12))
 
 
+def test_training_rejects_bad_threshold_before_featurizing(tiny_corpus, monkeypatch):
+    fit, valid, _ = tiny_corpus
+
+    def must_not_run(texts, cfg):
+        raise AssertionError("featurized before the threshold was checked")
+
+    monkeypatch.setattr(model_module, "featurize_many", must_not_run)
+    for threshold in (1.5, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            train(fit, valid, small_config(), tiny_train_config(), threshold=threshold)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    # Counts are exact ints, as in FeaturizerConfig: a bool is not an int.
+    for name, value in [("eval_interval", 2.5), ("epochs", True), ("batch_size", 32.0), ("patience", "3")]:
+        with pytest.raises(TypeError, match=name):
+            TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):

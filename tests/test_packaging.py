@@ -6,12 +6,11 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def test_every_console_script_target_imports():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"].get("scripts", {})
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
