@@ -14,14 +14,18 @@ last.
 
 Natural text repeats tokens heavily, so ``featurize`` keeps, for each
 (min_n, max_n, bucket_count, include_word_unigrams), a cache of up to
-``_CACHE_TOKENS`` (2^18) tokens, each mapped to its bucket ids as int64
-bytes; when a cache is full, its oldest token is evicted. The tokens of
-one call that miss the cache are hashed together in one numpy pass: an
-FNV-1a chain starts at every byte of the joined wrapped tokens, and all
-chains advance one byte per step, for as many steps as the longest
-n-gram has bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A
-gram's hash is then the state of the chain at its first byte after its
-last byte. A whole token's chain is finished from there byte by byte.
+``_CACHE_TOKENS`` (2^18) tokens, each mapped to its bucket ids as int32
+bytes: ``bucket_count`` is at most 2^31, so every id fits. A cache is a
+plain dict beside a deque of its tokens in insertion order; when it is
+full, its oldest token is evicted. Lookups take no lock. Inserting and
+evicting, the only writes, happen under one module lock, so the dict
+and the deque always hold the same tokens. The tokens of one call that
+miss the cache are hashed together in one numpy pass: an FNV-1a chain
+starts at every byte of the joined wrapped tokens, and all chains
+advance one byte per step, for as many steps as the longest n-gram has
+bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A gram's
+hash is then the state of the chain at its first byte after its last
+byte. A whole token's chain is finished from there byte by byte.
 
 Each numpy pass has a fixed cost (about 75 µs on a 2-CPU VM) however
 few tokens it hashes, so ``featurize_many`` takes its texts
@@ -33,7 +37,8 @@ Chunks bound the split tokens held at once.
 from __future__ import annotations
 
 import sys
-from collections import OrderedDict
+import threading
+from collections import deque
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Sequence
@@ -80,8 +85,9 @@ class FeaturizerConfig:
                 raise TypeError(f"{field.name} must be {kind.__name__}, got {value!r}")
         if not 1 <= self.min_n <= self.max_n <= 8:
             raise ValueError(f"need 1 <= min_n <= max_n <= 8, got [{self.min_n}, {self.max_n}]")
-        if self.bucket_count < 1 or self.bucket_count & (self.bucket_count - 1):
-            raise ValueError(f"bucket_count must be a power of two, got {self.bucket_count}")
+        # At most 2^31 buckets, so every masked id fits the cache's int32.
+        if not 1 <= self.bucket_count <= 1 << 31 or self.bucket_count & (self.bucket_count - 1):
+            raise ValueError(f"bucket_count must be a power of two <= 2**31, got {self.bucket_count}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
 
@@ -94,11 +100,14 @@ class FeaturizerConfig:
 
 # Tokens kept per featurizer configuration.
 _CACHE_TOKENS = 1 << 18
-_caches: dict[tuple[int, int, int, bool], OrderedDict[str, bytes]] = {}
+# Per configuration: each cached token's ids, and the cached tokens
+# oldest first.
+_caches: dict[tuple[int, int, int, bool], tuple[dict[str, bytes], deque[str]]] = {}
+_cache_lock = threading.Lock()
 
 
 def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
-    """Masked bucket ids of every token, each as int64 bytes in featurize order."""
+    """Masked bucket ids of every token, each as int32 bytes in featurize order."""
     lens = np.fromiter(map(len, tokens), np.int64, len(tokens)) + 2  # characters, wrapped
     joined = "".join(f"<{t}>" for t in tokens).encode("utf-8")
     size = len(joined)
@@ -132,8 +141,8 @@ def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
         np.multiply(row, _PRIME, out=row)
     flat = states.ravel()
     mask = cfg.bucket_count - 1
-    buf = (flat[span * size + first] & np.uint64(mask)).astype(np.int64).tobytes()
-    bounds = (np.bincount(tok, minlength=len(tokens)).cumsum() * 8).tolist()
+    buf = (flat[span * size + first] & np.uint64(mask)).astype(np.int32).tobytes()
+    bounds = (np.bincount(tok, minlength=len(tokens)).cumsum() * 4).tolist()
     out = [buf[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
     if cfg.include_word_unigrams:
         # A whole token continues its first byte's chain past the longest
@@ -145,17 +154,18 @@ def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
             h = flat.item(reach * size + lo)
             for byte in joined[lo + reach : hi]:
                 h = ((h ^ byte) * FNV_PRIME) & _MASK64
-            out[k] += (h & mask).to_bytes(8, sys.byteorder)
+            out[k] += (h & mask).to_bytes(4, sys.byteorder)
     return out
 
 
 def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
-    """Each token's bucket ids as int64 bytes. The tokens missing from the
+    """Each token's bucket ids as int32 bytes. The tokens missing from the
     cache are hashed together in one pass and inserted into it."""
     key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
-    cache = _caches.get(key)
-    if cache is None:
-        cache = _caches.setdefault(key, OrderedDict())
+    entry = _caches.get(key)
+    if entry is None:
+        entry = _caches.setdefault(key, ({}, deque()))
+    cache, order = entry
     # Each token's ids are read once, here, and fresh ids are used as
     # hashed: another thread, or this insertion, may evict them.
     parts = [cache.get(token) for token in tokens]
@@ -163,9 +173,15 @@ def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
         missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
         fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
         parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
-        cache.update(fresh)
-        while len(cache) > _CACHE_TOKENS:
-            cache.popitem(last=False)
+        with _cache_lock:
+            # Another thread may have cached a token since the lookup; a
+            # token enters the queue once, so the queue is the dict's keys.
+            for token, ids in fresh.items():
+                if token not in cache:
+                    cache[token] = ids
+                    order.append(token)
+            while len(order) > _CACHE_TOKENS:
+                del cache[order.popleft()]
     return parts
 
 
@@ -178,7 +194,7 @@ def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
     because bucket_count is a power of two. Safe to call from several
     threads.
     """
-    return np.frombuffer(bytearray().join(_token_ids(text.split(), cfg)), np.int64)
+    return np.frombuffer(b"".join(_token_ids(text.split(), cfg)), np.int32).astype(np.int64)
 
 
 # Texts whose uncached tokens `featurize_many` hashes in one pass.
@@ -194,5 +210,5 @@ def featurize_many(texts: Sequence[str], cfg: FeaturizerConfig) -> list[np.ndarr
         parts = _token_ids([token for tokens in split for token in tokens], cfg)
         ends = list(accumulate(map(len, split)))
         for start, end in zip([0] + ends[:-1], ends):
-            out.append(np.frombuffer(bytearray().join(parts[start:end]), np.int64))
+            out.append(np.frombuffer(b"".join(parts[start:end]), np.int32).astype(np.int64))
     return out

@@ -315,6 +315,15 @@ def _validation_metric(
     return float(np.all(accept == (y == 1.0), axis=1).mean())
 
 
+def _checkpoint(fcfg: FeaturizerConfig, params: list[np.ndarray], threshold: float, step: int) -> FastModel:
+    """The float32 model of ``params``. Weights that are finite in float64
+    but beyond the float32 range fail FastModel's check: a divergence."""
+    try:
+        return FastModel(fcfg, *params, threshold=threshold)
+    except ValueError as e:
+        raise TrainingError(f"weights beyond the float32 range at step {step} ({e}); lower the learning rate") from e
+
+
 def train(
     train_set: Dataset,
     valid_set: Dataset,
@@ -365,7 +374,7 @@ def train(
         loss, ((ids, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
         if not np.isfinite(loss):
             raise TrainingError(
-                f"non-finite loss at step {len(losses)} (epoch {epoch}); "
+                f"non-finite loss at step {step} (epoch {epoch}); "
                 "lower the learning rate or check the data"
             )
         losses.append(loss)
@@ -390,7 +399,7 @@ def train(
                 # The checkpoint is a float32 model; drop the old one first so
                 # at most one checkpoint is alive beside the live parameters.
                 best_model = None
-                best_model = FastModel(fcfg, *params, threshold=threshold)
+                best_model = _checkpoint(fcfg, params, threshold, step)
                 evals_without_improvement = 0
             else:
                 evals_without_improvement += 1
@@ -401,7 +410,7 @@ def train(
     # An epoch cut short by an early stop counts with the steps it ran.
     epoch_losses = [float(np.mean(losses[i : i + len(starts)])) for i in range(0, len(losses), len(starts))]
     if best_model is None:  # no validation set
-        best_model = FastModel(fcfg, *params, threshold=threshold)
+        best_model = _checkpoint(fcfg, params, threshold, len(losses))
 
     return TrainResult(
         model=best_model,

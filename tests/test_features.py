@@ -119,6 +119,15 @@ def test_ids_within_bucket_range():
     assert ids.max() < cfg.bucket_count
 
 
+def test_widest_bucket_count_matches_oracle():
+    # 2^31 buckets: ids use all 31 bits an int32 payload holds.
+    cfg = FeaturizerConfig(bucket_count=1 << 31)
+    text = "en setning med mange forskjellige tegn æøå 123"
+    ids = featurize(text, cfg)
+    assert ids.tolist() == oracle_ids(text, cfg)
+    assert ids.max() >= 1 << 30
+
+
 def test_token_order_does_not_change_multiset():
     cfg = FeaturizerConfig()
     assert sorted(featurize("hej med dig", cfg).tolist()) == sorted(
@@ -135,6 +144,9 @@ def test_config_validation():
         FeaturizerConfig(max_n=9)
     with pytest.raises(ValueError):
         FeaturizerConfig(bucket_count=1000)  # not a power of two
+    with pytest.raises(ValueError):
+        FeaturizerConfig(bucket_count=1 << 32)  # ids would not fit int32
+    assert FeaturizerConfig(bucket_count=1 << 31).bucket_count == 1 << 31
     with pytest.raises(ValueError):
         FeaturizerConfig(embed_dim=0)
     with pytest.raises(TypeError):
@@ -176,16 +188,16 @@ def test_cache_never_exceeds_capacity(small_cache):
     cfg = FeaturizerConfig()
     for i in range(50):
         featurize(" ".join(f"ord{i}x{j}" for j in range(7)), cfg)
-        assert all(len(cache) <= 64 for cache in small_cache.values())
-    assert len(small_cache[(1, 4, 1 << 18, True)]) == 64
+        assert all(len(cache) <= 64 for cache, _ in small_cache.values())
+    assert len(small_cache[(1, 4, 1 << 18, True)][0]) == 64
 
 
 def test_evicted_token_returns_identical_ids(small_cache):
     cfg = FeaturizerConfig()
     first = featurize("første ⟨num⟩ 😀", cfg).tolist()
     featurize(" ".join(f"fyll{i}" for i in range(200)), cfg)
-    cache = small_cache[(1, 4, 1 << 18, True)]
-    assert "første" not in cache
+    cache, order = small_cache[(1, 4, 1 << 18, True)]
+    assert "første" not in cache and "første" not in order
     assert featurize("første ⟨num⟩ 😀", cfg).tolist() == first
     assert first == oracle_ids("første ⟨num⟩ 😀", cfg)
 
@@ -223,7 +235,7 @@ def test_featurize_many_matches_featurize_and_oracle(small_cache):
         assert all(ids.dtype == np.int64 for ids in got)
         assert [ids.tolist() for ids in got] == expected
         assert [featurize(text, cfg).tolist() for text in texts] == expected
-    assert len(small_cache[(1, 4, 1 << 18, True)]) == 64
+    assert len(small_cache[(1, 4, 1 << 18, True)][0]) == 64
     assert featurize_many([], cfg) == []
 
 
@@ -260,3 +272,8 @@ def test_concurrent_featurize_with_evicting_cache(small_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    # A lost or doubled insertion would leave the queue and the dict
+    # holding different tokens, or the queue holding one token twice.
+    for cache, order in small_cache.values():
+        assert len(order) == len(set(order)) == len(cache) <= 64
+        assert set(order) == cache.keys()

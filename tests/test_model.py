@@ -492,6 +492,33 @@ def test_training_aborts_on_divergence(tiny_corpus):
             train(fit, valid, cfg, tiny_train_config(learning_rate=1e12))
 
 
+def overflow_corpus():
+    items = generate_corpus(360, 10, 0.1, seed=3)[0].items
+    return Dataset("train", items[:300]), Dataset("validation", items[300:])
+
+
+def test_training_reports_float32_overflow_at_a_checkpoint():
+    # At the first checkpoint (step 5) the float64 weights are finite, so
+    # the loss is too, but some exceed the float32 range of the model.
+    fit, valid = overflow_corpus()
+    cfg = FeaturizerConfig(bucket_count=1024, embed_dim=8)
+    tcfg = TrainConfig(learning_rate=1e6, batch_size=7, eval_interval=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="float32 range at step 5"):
+            train(fit, valid, cfg, tcfg)
+
+
+def test_divergence_message_counts_steps_from_one():
+    # The loss first turns non-finite on the fifth step; steps count from
+    # 1, as in EvalPoint.step.
+    fit, valid = overflow_corpus()
+    cfg = FeaturizerConfig(bucket_count=1024, embed_dim=8)
+    tcfg = TrainConfig(learning_rate=1e12, batch_size=7, eval_interval=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=r"^non-finite loss at step 5 \(epoch 0\); "):
+            train(fit, valid, cfg, tcfg)
+
+
 def test_training_rejects_bad_threshold_before_featurizing(tiny_corpus, monkeypatch):
     fit, valid, _ = tiny_corpus
 
