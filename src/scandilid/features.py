@@ -59,14 +59,6 @@ N_OUTPUTS = 4
 REFERENCE_HEAD_EMBED_DIM = 322
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a; deterministic and trivially portable."""
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _MASK64
-    return h
-
-
 @dataclass(frozen=True)
 class FeaturizerConfig:
     min_n: int = 1

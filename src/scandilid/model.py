@@ -114,10 +114,6 @@ class FastModel:
             object.__setattr__(self, name, arr)
         _check_threshold(self.threshold)
 
-    def head_parameter_count(self) -> int:
-        """Dense-head parameters; the embedding table is not counted."""
-        return head_parameter_count(self.featurizer)
-
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
     """Head size implied by a featurizer config, without building a model."""
@@ -253,9 +249,6 @@ def loss_and_grads(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y:
     return loss, [gemb, *head_grads]
 
 
-SELECTION_METRICS = ("exact_match", "loss")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -265,7 +258,6 @@ class TrainConfig:
     seed: int = 42
     eval_interval: int = 200
     patience: int = 20
-    selection_metric: str = "exact_match"
 
     def __post_init__(self) -> None:
         # Exact type checks, as in FeaturizerConfig: bool is a subclass of int.
@@ -279,8 +271,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.selection_metric not in SELECTION_METRICS:
-            raise ValueError(f"selection_metric must be one of {SELECTION_METRICS}")
 
 
 @dataclass
@@ -305,11 +295,8 @@ def _validation_metric(
     params: Sequence[np.ndarray],
     feats: Sequence[np.ndarray],
     y: np.ndarray,
-    which: str,
     threshold: float,
 ) -> float:
-    if which == "loss":
-        return -_loss(params, feats, y)
     e = _pool_all(params[0], feats)
     accept = _sigmoid(_layers(params, e)[2]) >= threshold
     return float(np.all(accept == (y == 1.0), axis=1).mean())
@@ -334,8 +321,8 @@ def train(
     """Train a FastModel; deterministic given the config seed.
 
     Every ``eval_interval`` optimizer steps, and after the last step
-    when it falls between intervals, the selection metric is computed
-    on ``valid_set`` and the best-scoring checkpoint is kept; training
+    when it falls between intervals, exact match is computed on
+    ``valid_set`` and the best-scoring checkpoint is kept; training
     stops early after ``patience`` evaluations without improvement.
     With an empty ``valid_set`` the final weights are returned, with
     ``best_metric`` NaN. Texts are featurized as-is: normalize
@@ -390,7 +377,7 @@ def train(
         _scatter_add(emb, ids, -lr * rows)
 
         if len(valid_set) and (step % tcfg.eval_interval == 0 or step == last_step):
-            metric = _validation_metric(params, vfeats, vy, tcfg.selection_metric, threshold)
+            metric = _validation_metric(params, vfeats, vy, threshold)
             train_loss = float(np.mean(losses[history[-1].step if history else 0 :]))
             history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
             if best_model is None or metric > best_metric:

@@ -14,7 +14,6 @@ from scandilid.features import (
     FeaturizerConfig,
     featurize,
     featurize_many,
-    fnv1a64,
 )
 
 
@@ -57,21 +56,16 @@ def small_cache(monkeypatch):
 
 
 def test_fnv_published_vectors():
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
-
-
-@given(st.binary(max_size=64))
-def test_fnv_matches_independent_reference(data):
-    assert fnv1a64(data) == reference_fnv(data)
+    assert reference_fnv(b"") == 0xCBF29CE484222325
+    assert reference_fnv(b"a") == 0xAF63DC4C8601EC8C
+    assert reference_fnv(b"foobar") == 0x85944171F73967E8
 
 
 def test_bigrams_of_two_letter_token():
     cfg = FeaturizerConfig(min_n=2, max_n=2, include_word_unigrams=False, bucket_count=1 << 10)
     ids = featurize("ab", cfg)
     assert len(ids) == 3  # <a, ab, b>
-    expected = sorted(fnv1a64(g.encode()) % cfg.bucket_count for g in ["<a", "ab", "b>"])
+    expected = sorted(reference_fnv(g.encode()) % cfg.bucket_count for g in ["<a", "ab", "b>"])
     assert sorted(ids.tolist()) == expected
 
 
@@ -174,7 +168,7 @@ GOLDEN = json.loads(
 
 @pytest.mark.parametrize("config_name", sorted(GOLDEN["configs"]))
 def test_featurize_matches_golden_fixture(config_name, small_cache):
-    # Exact ids in exact order, captured from the per-gram fnv1a64
+    # Exact ids in exact order, captured from a per-gram FNV-1a
     # implementation; order matters because pooling sums in it. The
     # texts cover 1- to 4-byte UTF-8 characters and a combining mark.
     cfg = FeaturizerConfig(**GOLDEN["configs"][config_name])

@@ -177,7 +177,7 @@ def test_head_parameter_counts():
     assert head_parameter_count(FeaturizerConfig()) == 64 * 32 + 64 + 4 * 64 + 4
     assert head_parameter_count(FeaturizerConfig.reference_head()) == 20_932
     model = random_model()
-    assert model.head_parameter_count() == 64 * 8 + 64 + 4 * 64 + 4
+    assert head_parameter_count(model.featurizer) == 64 * 8 + 64 + 4 * 64 + 4
 
 
 def batch(*pairs):
@@ -277,7 +277,7 @@ def test_exact_match_counts_what_decoded_label_sets_count():
         gold = [d if rng.random() < 0.5 else choices[rng.integers(len(choices))] for d in decoded]
         hits = sum(d == g for d, g in zip(decoded, gold))
         y = np.stack([targets_for(g) for g in gold])
-        assert _validation_metric(params, feats, y, "exact_match", threshold) == hits / len(gold)
+        assert _validation_metric(params, feats, y, threshold) == hits / len(gold)
         assert 0 < hits < len(gold)
         saw_other |= any(d.is_other for d in decoded)
     assert saw_other
@@ -370,19 +370,6 @@ def test_training_matches_golden_fixture(tiny_corpus):
     assert result.epoch_losses == spec["epoch_losses"]
     assert [[p.step, p.epoch, p.train_loss, p.metric] for p in result.history] == spec["history"]
     assert [tags(predict(result.model, item.text)) for item in test_set] == spec["test_labels"]
-
-
-def test_loss_selection_saves_pinned_model(tiny_corpus, tmp_path):
-    # Pins the selection_metric="loss" path: validation loss picks the
-    # checkpoint, and the saved file is byte-identical run to run.
-    fit, valid, _ = tiny_corpus
-    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
-    result = train(fit, valid, cfg, tiny_train_config(selection_metric="loss"))
-    path = tmp_path / "m.slfx"
-    save_model(result.model, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6400d6ac3b3d4c73a790c68a23941e1a23a18cb1e1f6537227883490b4c9510c"
-    )
 
 
 def test_training_hashes_once_per_chunk_of_texts(monkeypatch):
@@ -544,8 +531,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(selection_metric="f2")
 
 
 def probe_sentences(n=200, seed=17):

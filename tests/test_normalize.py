@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scandilid.normalize import (
@@ -8,39 +8,28 @@ from scandilid.normalize import (
     NUM_PLACEHOLDER,
     REGEX_FIXTURES,
     URL_PLACEHOLDER,
-    NormalizeConfig,
     normalize_text,
 )
 
 PLACEHOLDERS = (URL_PLACEHOLDER, MAIL_PLACEHOLDER, NUM_PLACEHOLDER)
-# Placeholder replacement alone, and lowercasing alone.
-REGEX_ONLY = NormalizeConfig(lowercase=False)
-LOWERCASE_ONLY = NormalizeConfig(replace_urls=False, replace_emails=False, replace_numbers=False)
 
 
 def test_regex_fixtures_verbatim():
     for text, expected in REGEX_FIXTURES:
-        assert normalize_text(text, REGEX_ONLY) == expected, text
+        assert normalize_text(text) == expected, text
 
 
 def test_email_replacement():
-    assert normalize_text("Skriv til ola@example.no i dag", REGEX_ONLY) == "Skriv til ⟨mail⟩ i dag"
+    assert normalize_text("Skriv til ola@example.no i dag") == "skriv til ⟨mail⟩ i dag"
 
 
 def test_identity_when_nothing_matches():
-    assert normalize_text("Ingen treff her.", REGEX_ONLY) == "Ingen treff her."
+    assert normalize_text("Ingen treff her.") == "ingen treff her."
 
 
 def test_url_and_grouped_number():
     # Space/comma-grouped digits collapse to a single number placeholder.
-    assert normalize_text("Se https://a.no og 1 234,5 kr", REGEX_ONLY) == "Se ⟨URL⟩ og ⟨num⟩ kr"
-
-
-def test_flags_are_independent():
-    text = "Se www.a.no og 7 hos ola@a.no"
-    cfg = NormalizeConfig(replace_urls=False, replace_emails=True, replace_numbers=False, lowercase=False)
-    assert normalize_text(text, cfg) == "Se www.a.no og 7 hos ⟨mail⟩"
-    assert normalize_text(text, NormalizeConfig.disabled()) == text
+    assert normalize_text("Se https://a.no og 1 234,5 kr") == "se ⟨url⟩ og ⟨num⟩ kr"
 
 
 def _fuzz_corpus(n, seed=1234):
@@ -62,19 +51,23 @@ def _fuzz_corpus(n, seed=1234):
 
 def test_idempotence_on_fuzz_corpus():
     for text in _fuzz_corpus(10_000):
-        once = normalize_text(text, REGEX_ONLY)
-        assert normalize_text(once, REGEX_ONLY) == once, text
+        once = normalize_text(text)
+        assert normalize_text(once) == once, text
 
 
 @settings(max_examples=300)
 @given(st.text(max_size=120))
 def test_idempotence_on_arbitrary_text(text):
-    once = normalize_text(text, REGEX_ONLY)
-    assert normalize_text(once, REGEX_ONLY) == once
+    once = normalize_text(text)
+    assert normalize_text(once) == once
 
 
 @settings(max_examples=300)
 @given(st.text(max_size=120))
+@example("\u212a@a.no")  # the Kelvin sign lowercases to an ASCII k
+@example("\u01305 kr")  # İ lowercases to i and a combining dot
+@example("a@b.no5c@d.no")  # a placeholder's ⟩ ends the glued word
+@example("\u0663.@a.no")  # an Arabic-Indic digit becomes ⟨num⟩ after the email pass
 def test_combined_pipeline_idempotent(text):
     once = normalize_text(text)
     assert normalize_text(once) == once
@@ -83,7 +76,7 @@ def test_combined_pipeline_idempotent(text):
 def test_placeholder_atomicity():
     # No placeholder ever ends up nested inside another one.
     for text in _fuzz_corpus(2_000, seed=99):
-        out = normalize_text(text, REGEX_ONLY)
+        out = normalize_text(text)
         for ph in PLACEHOLDERS:
             start = 0
             while (i := out.find(ph, start)) != -1:
@@ -93,18 +86,21 @@ def test_placeholder_atomicity():
 
 
 def test_lowercase_scandinavian_letters():
-    assert normalize_text("Låten Heter X", LOWERCASE_ONLY) == "låten heter x"
-    assert normalize_text("ÆØÅ ÄÖ", LOWERCASE_ONLY) == "æøå äö"
+    assert normalize_text("Låten Heter X") == "låten heter x"
+    assert normalize_text("ÆØÅ ÄÖ") == "æøå äö"
 
 
 def test_lowercase_identity_on_lowercase_input():
     text = "allerede små bokstaver æøå"
-    assert normalize_text(text, LOWERCASE_ONLY) == text
+    assert normalize_text(text) == text
 
 
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyzæøåäöABCDEFGHIJKLMNOPQRSTUVWXYZÆØÅÄÖ .,!?-", max_size=200))
 def test_lowercase_preserves_length_for_scandinavian_alphabet(text):
-    assert len(normalize_text(text, LOWERCASE_ONLY)) == len(text)
+    # The alphabet has no digits, @, : or /, so "www." is the only
+    # pattern that can form.
+    assume("www." not in text.lower())
+    assert len(normalize_text(text)) == len(text)
 
 
 def test_normalize_text_lowercases_after_replacement():

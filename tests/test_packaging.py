@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,37 @@ def test_every_console_script_target_imports():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def _top_level_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared():
+    # Every distribution used here installs a module of its own name, so
+    # a requirement's name is the module it provides.
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+
+    def declared(requirements):
+        return {re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_") for req in requirements}
+
+    runtime = declared(project["dependencies"])
+    test = runtime | declared(project["optional-dependencies"]["test"])
+    root = PYPROJECT.parent
+    for directory, allowed in [("src", runtime), ("tests", test)]:
+        files = sorted((root / directory).rglob("*.py"))
+        local = {"scandilid"} | {path.stem for path in files}
+        for path in files:
+            third_party = _top_level_imports(path) - set(sys.stdlib_module_names) - local
+            assert third_party <= allowed, (path.name, sorted(third_party - allowed))
 
 
 def test_only_ingest_and_model_import_json():
