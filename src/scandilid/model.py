@@ -19,9 +19,12 @@ same.
 
 Serving, the training loss, backprop, validation and the gradient
 check share one forward path: `_pool` averages a sentence's embedding
-rows and `_layers` applies the head to one pooled vector or a batch of
-them. The parameter arrays have one layout, `_ARRAY_NAMES` in the
-shapes of `_shapes`, used by `FastModel`, training and the model file.
+rows, gathered with `take`, and `_layers` applies the head to one pooled
+vector or a batch of them. `take` has a slow path for float32 rows that
+do not start on a 4-byte boundary, so `FastModel` holds only aligned
+arrays and `load_model` reads the file to an offset that aligns them.
+The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
+`_shapes`, used by `FastModel`, training and the model file.
 
 Validation by exact match compares each row of accepted outputs with
 its 0/1 target row; `other` is the all-zero row on both sides, so this
@@ -34,6 +37,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -104,7 +108,7 @@ class FastModel:
             # Cast before the finiteness check: a finite float64 beyond
             # the float32 range becomes inf here, and must be rejected.
             with np.errstate(over="ignore"):
-                arr = np.ascontiguousarray(getattr(self, name), dtype=np.float32)
+                arr = np.require(getattr(self, name), np.float32, ["C", "A", "E"])
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             # min and max propagate NaN, and allocate no array as large as arr.
@@ -132,7 +136,7 @@ def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
     The sum and division are `mean`'s own, bit for bit, without its wrapper."""
     if ids.size == 0:
         return np.zeros(emb.shape[1], dtype=np.float64)
-    return np.add.reduce(emb[ids], axis=0, dtype=np.float64) / ids.size
+    return np.add.reduce(emb.take(ids, axis=0), axis=0, dtype=np.float64) / ids.size
 
 
 def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
@@ -485,18 +489,28 @@ def save_model(model: FastModel, path: Path | str) -> None:
 
 def load_model(path: Path | str) -> FastModel:
     """Read a model file; forward outputs are bit-identical to the saved
-    model. Its arrays are read-only views of the file's bytes."""
-    data = Path(path).read_bytes()
-    if len(data) < _FILE_START.size + 4:
-        raise ModelFormatError(f"{path}: file too short to be a model ({len(data)} bytes)")
+    model. Its arrays are read-only views of the file's bytes, which are
+    read into one buffer at the offset that starts the arrays on a 4-byte
+    boundary, whatever the header's length: `take` in `_pool` is many
+    times slower on unaligned float32 rows."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _FILE_START.size + 4:
+            raise ModelFormatError(f"{path}: file too short to be a model ({size} bytes)")
 
-    magic, version, header_len = _FILE_START.unpack_from(data)
-    if magic != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic: expected {MODEL_MAGIC!r}, found {magic!r}")
-    if version != MODEL_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported version: expected {MODEL_VERSION}, found {version}"
-        )
+        magic, version, header_len = _FILE_START.unpack(f.read(_FILE_START.size))
+        if magic != MODEL_MAGIC:
+            raise ModelFormatError(f"{path}: bad magic: expected {MODEL_MAGIC!r}, found {magic!r}")
+        if version != MODEL_VERSION:
+            raise ModelFormatError(
+                f"{path}: unsupported version: expected {MODEL_VERSION}, found {version}"
+            )
+        pad = -(_FILE_START.size + header_len) % 4
+        buf = np.empty(size + 3, np.uint8)
+        _FILE_START.pack_into(buf, pad, magic, version, header_len)
+        size = _FILE_START.size + f.readinto(buf[pad + _FILE_START.size : pad + size])
+    buf.flags.writeable = False
+    data = buf[pad : pad + size]
 
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     actual_crc = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
@@ -508,7 +522,7 @@ def load_model(path: Path | str) -> FastModel:
 
     header_end = _FILE_START.size + header_len
     try:
-        header = json.loads(data[_FILE_START.size : header_end].decode("utf-8"))
+        header = json.loads(data[_FILE_START.size : header_end].tobytes().decode("utf-8"))
         featurizer = header["featurizer"]
         threshold = header["threshold"]
         label_order = header["label_order"]

@@ -35,6 +35,7 @@ from scandilid.model import (
     train,
 )
 from scandilid.model import (
+    _ARRAY_NAMES,
     _decode,
     _init_params,
     _layers,
@@ -82,6 +83,14 @@ def logits_model(probabilities, threshold=0.5):
         b2=b2,
         threshold=threshold,
     )
+
+
+def unaligned_copy(arr):
+    """A read-only copy of `arr` whose data starts one byte past the
+    start of a bytes object, so not on an itemsize boundary."""
+    view = np.frombuffer(b"\0" + arr.tobytes(), arr.dtype, offset=1).reshape(arr.shape)
+    assert not view.flags.aligned
+    return view
 
 
 def oracle_forward(model, text):
@@ -236,9 +245,11 @@ def test_scatter_add_matches_two_dimensional_add_at_bit_for_bit(dim):
 def test_pool_is_mean_bit_for_bit(dtype, dim):
     rng = np.random.default_rng(dim)
     emb = rng.normal(0, 1, size=(1024, dim)).astype(dtype)
-    for length in range(1, 58):
-        ids = rng.integers(0, 1024, size=length)
-        assert _pool(emb, ids).tobytes() == emb[ids].mean(axis=0, dtype=np.float64).tobytes()
+    # An unaligned table takes `take`'s slow path, with the same bits.
+    for table in (emb, unaligned_copy(emb)):
+        for length in range(1, 58):
+            ids = rng.integers(0, 1024, size=length)
+            assert _pool(table, ids).tobytes() == emb[ids].mean(axis=0, dtype=np.float64).tobytes()
 
 
 def test_duplicated_sample_gradient_linearity():
@@ -572,6 +583,36 @@ def test_load_model_holds_one_copy_of_the_weights(tmp_path):
         tracemalloc.stop()
     assert model.embeddings.shape == (cfg.bucket_count, cfg.embed_dim)
     assert peak < 1.1 * path.stat().st_size
+
+
+def test_load_model_aligns_the_weights_whatever_the_header_length(tmp_path):
+    cfg = FeaturizerConfig(bucket_count=1024, embed_dim=8)
+    offsets = []
+    for threshold in (0.5, 0.25, 0.125, 0.1234):
+        model = random_model(cfg, threshold=threshold)
+        path = tmp_path / f"{threshold}.slfx"
+        save_model(model, path)
+        (header_len,) = struct.unpack_from("<I", path.read_bytes(), 6)
+        offsets.append((10 + header_len) % 4)
+        loaded = load_model(path)
+        for name in _ARRAY_NAMES:
+            arr = getattr(loaded, name)
+            assert arr.flags.aligned and not arr.flags.writeable, (threshold, name)
+            assert arr.tobytes() == getattr(model, name).tobytes(), (threshold, name)
+    # The arrays start at every offset modulo 4 in the file.
+    assert offsets == [1, 2, 3, 0]
+
+
+def test_model_copies_unaligned_weights_to_aligned_arrays():
+    model = random_model()
+    views = [unaligned_copy(getattr(model, name)) for name in _ARRAY_NAMES]
+    copied = FastModel(model.featurizer, *views, threshold=model.threshold)
+    for name, view in zip(_ARRAY_NAMES, views):
+        arr = getattr(copied, name)
+        assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable, name
+        assert arr.tobytes() == view.tobytes(), name
+    for text in probe_sentences():
+        assert np.array_equal(forward(copied, text), forward(model, text)), text
 
 
 def test_load_rejects_truncated_file(tmp_path):
