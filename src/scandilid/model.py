@@ -23,6 +23,10 @@ rows, gathered with `take`, and `_layers` applies the head to one pooled
 vector or a batch of them. `take` has a slow path for float32 rows that
 do not start on a 4-byte boundary, so `FastModel` holds only aligned
 arrays and `load_model` reads the file to an offset that aligns them.
+`FastModel` holds a float64 copy of the head for serving, cast once and
+not on every call, each matrix in the layout numpy casts a float32 one to
+inside a mixed matmul (a contiguous transpose), so the bits are the same;
+a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
 
@@ -102,21 +106,31 @@ class FastModel:
     w2: np.ndarray  # (4, 64)
     b2: np.ndarray  # (4,)
     threshold: float = 0.5
+    # The parameters in `_ARRAY_NAMES` order with a float64 head; see the module docstring.
+    _head: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, shape in zip(_ARRAY_NAMES, _shapes(self.featurizer)):
             # Cast before the finiteness check: a finite float64 beyond
             # the float32 range becomes inf here, and must be rejected.
+            value = getattr(self, name)
             with np.errstate(over="ignore"):
-                arr = np.require(getattr(self, name), np.float32, ["C", "A", "E"])
+                arr = np.require(value, np.float32, ["C", "A", "E"])
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             # min and max propagate NaN, and allocate no array as large as arr.
             if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
+            if arr.flags.writeable and np.may_share_memory(arr, value):
+                arr = arr.copy()  # the caller's own array: neither freeze nor share it
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         _check_threshold(self.threshold)
+        w1, w2 = (np.ascontiguousarray(w.T, np.float64).T for w in (self.w1, self.w2))
+        head = (self.embeddings, w1, self.b1.astype(np.float64), w2, self.b2.astype(np.float64))
+        for arr in head:
+            arr.flags.writeable = False
+        object.__setattr__(self, "_head", head)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
@@ -153,19 +167,25 @@ def _layers(params: Sequence[np.ndarray], e: np.ndarray):
     return z1, h, h @ w2.T + b2
 
 
+# The label set of every accept row, keyed by its four bits in `OUTPUT_ORDER`.
+_LABEL_SETS = {
+    bits: LabelSet(frozenset(itertools.compress(OUTPUT_ORDER, bits)) or frozenset({Language.OTHER}))
+    for bits in itertools.product((False, True), repeat=N_OUTPUTS)
+}
+
+
 def _decode(accept_row: np.ndarray) -> LabelSet:
     """The languages whose output reached the threshold; `other` if none did."""
-    chosen = [lang for lang, accepted in zip(OUTPUT_ORDER, accept_row.tolist()) if accepted]
-    return LabelSet(frozenset(chosen)) if chosen else LabelSet.of(Language.OTHER)
+    return _LABEL_SETS[tuple(accept_row.tolist())]
 
 
 def forward(model: FastModel, text: str) -> np.ndarray:
     """Probabilities for (da, nb, nn, sv); empty text uses the zero embedding."""
     e = _pool(model.embeddings, featurize(text, model.featurizer))
-    _, _, z2 = _layers((model.embeddings, model.w1, model.b1, model.w2, model.b2), e)
+    p = _sigmoid(_layers(model._head, e)[2])
     # Keep the contract of strictly open (0,1) even where float64
-    # sigmoid saturates.
-    return np.clip(_sigmoid(z2), 1e-15, 1.0 - 1e-15)
+    # sigmoid saturates: np.clip's values, without its wrapper.
+    return np.minimum(np.maximum(p, 1e-15, out=p), 1.0 - 1e-15, out=p)
 
 
 def predict(model: FastModel, text: str) -> LabelSet:

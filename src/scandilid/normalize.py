@@ -34,6 +34,13 @@ Pattern definitions:
   the email pass) keeps ``.@a.no``.
 * Placeholders are lowercase and contain no digits, ``@`` or scheme
   prefix, so no pattern re-matches them.
+
+Most sentences hold nothing to replace, so after lowercasing one scan
+for a digit, ``@``, ``http://``, ``https://`` or ``www.`` decides
+whether the three patterns run at all. Every match of a pattern
+contains one of these, and the scan is case-insensitive as the URL
+pattern is: under that flag ``s`` also matches ``ſ`` (U+017F), so
+``httpſ://x`` is a URL.
 """
 
 from __future__ import annotations
@@ -47,12 +54,17 @@ NUM_PLACEHOLDER = "⟨num⟩"
 _URL_RE = re.compile(r"(?<![\w.])(?:https?://|www\.)\S+", re.IGNORECASE)
 _MAIL_RE = re.compile(r"(?<![\w.⟩])[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 _NUM_RE = re.compile(r"(?<![\w-])[+-]?\d+(?:[ .,]\d+)*(?![\w-])")
+# Found in every match of the three patterns above.
+_ANY_RE = re.compile(r"\d|@|https?://|www\.", re.IGNORECASE)
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, then replace URLs, email addresses and numbers with
     atomic placeholders. Idempotent."""
-    text = _URL_RE.sub(URL_PLACEHOLDER, text.lower())
+    text = text.lower()
+    if not _ANY_RE.search(text):
+        return text
+    text = _URL_RE.sub(URL_PLACEHOLDER, text)
     text = _MAIL_RE.sub(MAIL_PLACEHOLDER, text)
     return _NUM_RE.sub(NUM_PLACEHOLDER, text)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -123,6 +124,25 @@ def test_forward_matches_independent_oracle():
         got = forward(model, text)
         want = oracle_forward(model, text)
         assert np.allclose(got, want, atol=1e-6), text
+
+
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_forward_is_the_float32_head_bit_for_bit(dim):
+    # The float64 head FastModel builds must give the bits of the mixed
+    # float32/float64 matmuls on the stored arrays; a C-order cast does not.
+    model = random_model(small_config(bucket_count=1024, embed_dim=dim), seed=dim)
+    params = [getattr(model, name) for name in _ARRAY_NAMES]
+    for text in ["", *probe_sentences()]:
+        e = _pool(model.embeddings, featurize(text, model.featurizer))
+        want = np.clip(_sigmoid(_layers(params, e)[2]), 1e-15, 1 - 1e-15)
+        assert forward(model, text).tobytes() == want.tobytes(), text
+
+
+def test_decode_matches_the_list_decoder_on_every_accept_row():
+    for bits in itertools.product((False, True), repeat=4):
+        row = np.array(bits)
+        chosen = [lang for lang, accepted in zip(OUTPUT_ORDER, row.tolist()) if accepted]
+        assert _decode(row) == (LabelSet(frozenset(chosen)) if chosen else LabelSet.of(Language.OTHER))
 
 
 def test_all_zero_weights_give_half():
@@ -613,6 +633,21 @@ def test_model_copies_unaligned_weights_to_aligned_arrays():
         assert arr.tobytes() == view.tobytes(), name
     for text in probe_sentences():
         assert np.array_equal(forward(copied, text), forward(model, text)), text
+
+
+def test_model_neither_freezes_nor_shares_the_callers_arrays():
+    model = random_model(seed=5)
+    texts = probe_sentences(20)
+    arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
+    own = FastModel(model.featurizer, *arrays, threshold=model.threshold)
+    before = [forward(own, text) for text in texts]
+    for name, arr in zip(_ARRAY_NAMES, arrays):
+        assert arr.flags.writeable and not np.shares_memory(getattr(own, name), arr), name
+        arr += 1.0
+    for text, p in zip(texts, before):
+        assert forward(own, text).tobytes() == p.tobytes(), text
+    # A read-only input, such as a load_model view, is held as it is.
+    assert FastModel(model.featurizer, *(getattr(model, name) for name in _ARRAY_NAMES)).embeddings is model.embeddings
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -4,6 +4,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scandilid.normalize import (
+    _MAIL_RE,
+    _NUM_RE,
+    _URL_RE,
     MAIL_PLACEHOLDER,
     NUM_PLACEHOLDER,
     REGEX_FIXTURES,
@@ -71,6 +74,28 @@ def test_idempotence_on_arbitrary_text(text):
 def test_combined_pipeline_idempotent(text):
     once = normalize_text(text)
     assert normalize_text(once) == once
+
+
+def unguarded_normalize(text):
+    """`normalize_text` without its pre-check: the three substitutions."""
+    text = _URL_RE.sub(URL_PLACEHOLDER, text.lower())
+    text = _MAIL_RE.sub(MAIL_PLACEHOLDER, text)
+    return _NUM_RE.sub(NUM_PLACEHOLDER, text)
+
+
+# Pieces near each pattern's edges: case folds (ſ, the Kelvin sign, İ),
+# a non-ASCII digit, scheme and www prefixes in mixed case, a placeholder.
+PRECHECK_PIECES = [
+    "ſ", "K", "İ", "٣", "@", "HTTP", "http", "s", "S", "://", ":/",
+    "wwW.", "www", ".", "⟩", NUM_PLACEHOLDER, "a", "no", " ", "5", "-", "_", "é",
+]
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(st.sampled_from(PRECHECK_PIECES), max_size=12).map("".join), st.text(max_size=60)))
+@example("httpſ://a.no")  # under IGNORECASE, s matches ſ: a URL
+def test_precheck_changes_no_output(text):
+    assert normalize_text(text) == unguarded_normalize(text)
 
 
 def test_placeholder_atomicity():
