@@ -30,9 +30,14 @@ a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
 
-Validation by exact match compares each row of accepted outputs with
-its 0/1 target row; `other` is the all-zero row on both sides, so this
-equals comparing decoded label sets.
+`predict` decides on logits, the sigmoid being monotone: for threshold t and
+m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
+or below that of t·(1 − m), and computes `forward`'s output only between.
+Exact: rounding moves σ by ~1e-15 relative, and finite weights keep logits finite.
+
+Validation by exact match compares each row of clipped outputs accepted
+as `predict` accepts them with its 0/1 target row; `other` is the all-zero
+row on both sides, so this equals comparing decoded label sets.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import os
 import struct
 import zlib
@@ -108,6 +114,8 @@ class FastModel:
     threshold: float = 0.5
     # The parameters in `_ARRAY_NAMES` order with a float64 head; see the module docstring.
     _head: tuple[np.ndarray, ...] = dataclasses.field(init=False, repr=False)
+    _sure: float = dataclasses.field(init=False, repr=False)  # `predict` accepts logits >= _sure
+    _unsure: float = dataclasses.field(init=False, repr=False)  # and rejects logits <= _unsure
 
     def __post_init__(self) -> None:
         for name, shape in zip(_ARRAY_NAMES, _shapes(self.featurizer)):
@@ -121,8 +129,8 @@ class FastModel:
             # min and max propagate NaN, and allocate no array as large as arr.
             if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
-            if arr.flags.writeable and np.may_share_memory(arr, value):
-                arr = arr.copy()  # the caller's own array: neither freeze nor share it
+            if np.may_share_memory(arr, value) and not _read_only(arr):
+                arr = arr.copy()  # memory the caller can write: neither freeze nor share it
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         _check_threshold(self.threshold)
@@ -131,6 +139,17 @@ class FastModel:
         for arr in head:
             arr.flags.writeable = False
         object.__setattr__(self, "_head", head)
+        for name, q in (("_sure", 1.0 + _MARGIN), ("_unsure", 1.0 - _MARGIN)):
+            q *= self.threshold  # the bound is q's logit, infinite where the clip decides
+            bound = -math.inf if q <= _CLIP[0] else math.inf if q >= _CLIP[1] else math.log(q) - math.log1p(-q)
+            object.__setattr__(self, name, bound)
+
+
+def _read_only(arr: np.ndarray) -> bool:
+    """Whether every array down `arr`'s `base` chain is read-only, ending at an owner or bytes."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        arr = arr.base
+    return arr is None or isinstance(arr, bytes)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
@@ -143,6 +162,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # stable form share ez = exp(-|z|).
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+
+_CLIP = (1e-15, 1.0 - 1e-15)  # outputs stay in the open (0,1) where the sigmoid saturates
+_MARGIN = 1e-9  # `predict`'s relative margin around the threshold; see the module docstring
+
+
+def _probabilities(z: np.ndarray) -> np.ndarray:
+    """Clipped sigmoid of the logits: np.clip's values, without its wrapper."""
+    p = _sigmoid(z)
+    return np.minimum(np.maximum(p, _CLIP[0], out=p), _CLIP[1], out=p)
 
 
 def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -182,15 +211,16 @@ def _decode(accept_row: np.ndarray) -> LabelSet:
 def forward(model: FastModel, text: str) -> np.ndarray:
     """Probabilities for (da, nb, nn, sv); empty text uses the zero embedding."""
     e = _pool(model.embeddings, featurize(text, model.featurizer))
-    p = _sigmoid(_layers(model._head, e)[2])
-    # Keep the contract of strictly open (0,1) even where float64
-    # sigmoid saturates: np.clip's values, without its wrapper.
-    return np.minimum(np.maximum(p, 1e-15, out=p), 1.0 - 1e-15, out=p)
+    return _probabilities(_layers(model._head, e)[2])
 
 
 def predict(model: FastModel, text: str) -> LabelSet:
     """Languages whose probability reaches the threshold; `other` if none do."""
-    return _decode(forward(model, text) >= model.threshold)
+    z = _layers(model._head, _pool(model.embeddings, featurize(text, model.featurizer)))[2]
+    logits, sure, unsure = z.tolist(), model._sure, model._unsure
+    if not any(unsure < v < sure for v in logits):
+        return _LABEL_SETS[tuple(v >= sure for v in logits)]
+    return _decode(_probabilities(z) >= model.threshold)
 
 
 def predict_top1(model: FastModel, text: str) -> Language:
@@ -322,7 +352,7 @@ def _validation_metric(
     threshold: float,
 ) -> float:
     e = _pool_all(params[0], feats)
-    accept = _sigmoid(_layers(params, e)[2]) >= threshold
+    accept = _probabilities(_layers(params, e)[2]) >= threshold
     return float(np.all(accept == (y == 1.0), axis=1).mean())
 
 

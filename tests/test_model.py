@@ -179,6 +179,54 @@ def test_predict_threshold_is_inclusive():
     assert predict(model, "x") == LabelSet.of("da")
 
 
+def threshold_grid():
+    """Thresholds across (0, 1), next to the clip's bounds and next to
+    where t·(1 ± margin) crosses them."""
+    edges = [1e-15, 1 - 1e-15]
+    edges += [b * f for b in (1e-15, 1 - 1e-15) for f in (1 + 1e-9, 1 - 1e-9, 1 / (1 + 1e-9), 1 / (1 - 1e-9))]
+    near = [float(x) for e in edges for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+    grid = [1e-300, 1e-100, 1e-16, 1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9, *near, 1 - 2**-53]
+    return [t for t in grid if 0.0 < t < 1.0]
+
+
+def logits_near(centre):
+    """Logits k ulps from `centre`, 1e-12 to 10 from it, and ±1e117."""
+    ulps = [float(x) for x in centre + np.arange(-8, 9) * np.spacing(abs(centre) or 1e-300)]
+    offsets = [sign * 10.0**k for k in range(-12, 2) for sign in (1, -1)]
+    return ulps + [centre + d for d in offsets] + [1e117, -1e117]
+
+
+def test_predict_decides_on_logits_as_on_clipped_probabilities(monkeypatch):
+    # predict compares logits with bounds and computes probabilities only
+    # near the threshold; its label sets must be those of the clipped
+    # probabilities at every threshold, next to the clip's bounds too.
+    logits = []
+    monkeypatch.setattr(model_module, "_layers", lambda params, e: (None, None, np.array(logits)))
+    clip_logit = math.log(1e-15) - math.log1p(-1e-15)
+    for threshold in threshold_grid():
+        model = logits_model([0.5] * 4, threshold=threshold)
+        grid = logits_near(math.log(threshold) - math.log1p(-threshold))
+        grid += logits_near(clip_logit) + logits_near(-clip_logit)
+        grid += grid[: -len(grid) % 4]  # whole rows of four
+        for row in np.reshape(grid, (-1, 4)):
+            logits[:] = row.tolist()
+            want = _decode(np.clip(_sigmoid(row), 1e-15, 1 - 1e-15) >= threshold)
+            assert predict(model, "x") == want, (threshold, logits)
+
+
+def test_predict_computes_probabilities_only_near_the_threshold(monkeypatch):
+    calls = []
+    probabilities = model_module._probabilities
+    monkeypatch.setattr(model_module, "_probabilities", lambda z: calls.append(z) or probabilities(z))
+    near = logits_model([0.5, 0.5, 0.2, 0.8], threshold=0.5)
+    assert near._unsure < 0.0 < near._sure  # the logit of 0.5 is 0, inside the band
+    assert predict(near, "x") == _decode(forward(near, "x") >= 0.5) == LabelSet.of("da", "nb", "sv")
+    assert len(calls) == 2  # predict's near-threshold path, then forward
+    calls.clear()
+    assert predict(logits_model([0.2, 0.7, 0.6, 0.1]), "x") == LabelSet.of("nb", "nn")
+    assert calls == []
+
+
 def test_predict_top1():
     assert predict_top1(logits_model([0.2, 0.7, 0.6, 0.1]), "x") == Language.NB
     assert predict_top1(logits_model([0.2, 0.3, 0.1, 0.4]), "x") == Language.OTHER
@@ -312,6 +360,22 @@ def test_exact_match_counts_what_decoded_label_sets_count():
         assert 0 < hits < len(gold)
         saw_other |= any(d.is_other for d in decoded)
     assert saw_other
+
+
+@pytest.mark.parametrize(
+    "threshold, logit, served",
+    [
+        (1e-16, -40.0, LabelSet.of("da", "nb", "nn", "sv")),  # 4.2e-18 is clipped up to 1e-15
+        (1 - 2**-53, 40.0, LabelSet.of("other")),  # 1.0 in float64 is clipped down to 1 - 1e-15
+    ],
+)
+def test_validation_decides_as_predict_does_where_the_clip_decides(threshold, logit, served):
+    cfg = small_config()
+    params = [np.zeros(shape) for shape in _shapes(cfg)]
+    params[4][:] = logit
+    assert predict(FastModel(cfg, *params, threshold=threshold), "x") == served
+    y = targets_for(served)[None, :]
+    assert _validation_metric(params, [featurize("x", cfg)], y, threshold) == 1.0
 
 
 def two_branch_sigmoid(z):
@@ -648,6 +712,27 @@ def test_model_neither_freezes_nor_shares_the_callers_arrays():
         assert forward(own, text).tobytes() == p.tobytes(), text
     # A read-only input, such as a load_model view, is held as it is.
     assert FastModel(model.featurizer, *(getattr(model, name) for name in _ARRAY_NAMES)).embeddings is model.embeddings
+
+
+def test_model_copies_a_read_only_view_of_memory_the_caller_can_write():
+    model = random_model(seed=6)
+    texts = probe_sentences(20)
+    arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
+    views = [arr.view() for arr in arrays]
+    for view in views:
+        view.flags.writeable = False
+    held = FastModel(model.featurizer, *views, threshold=model.threshold)
+    before = [forward(held, text) for text in texts]
+    for name, arr in zip(_ARRAY_NAMES, arrays):
+        arr += 1.0
+        assert not np.shares_memory(getattr(held, name), arr), name
+    for text, p in zip(texts, before):
+        assert forward(held, text).tobytes() == p.tobytes(), text
+    # Memory no one can write, such as bytes, is held as it is.
+    frozen = np.frombuffer(model.embeddings.tobytes(), np.float32).reshape(model.embeddings.shape)
+    assert frozen.flags.aligned
+    arrays[0] = frozen
+    assert FastModel(model.featurizer, *arrays).embeddings is frozen
 
 
 def test_load_rejects_truncated_file(tmp_path):
