@@ -11,11 +11,15 @@ Training is plain minibatch gradient descent (momentum on the dense
 head only) on the mean binary cross-entropy of the four outputs.
 Weights are stored as float32; training and loss accumulation run in
 float64 so the analytic gradients verify against finite differences.
-The embedding gradient is sparse, one row per gram occurrence, and
-`_scatter_add` adds it into the table as one flat 1-D `np.add.at` over
-element indices, which numpy runs on a fast path; each element takes
-its additions in the same order as the 2-D form, so every bit is the
-same.
+The embedding gradient is sparse: each gram of a sentence gets the
+sentence's pooled gradient divided by its length, so `_backprop` returns
+one such row per sentence, with the batch's gram ids and sentence lengths,
+and `train` scales the rows by the learning rate before they are repeated.
+`_scatter_add` repeats them column-major, (dim, grams), and adds them with
+one flat 1-D `np.add.at`, which numpy runs on a fast path in index order.
+Within a column the grams keep their batch order, so each table element
+takes its additions in the order of a 2-D `np.add.at` of one row per
+gram, and every bit is the same.
 
 Serving, the training loss, backprop, validation and the gradient
 check share one forward path: `_pool` averages a sentence's embedding
@@ -174,17 +178,21 @@ def _probabilities(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, _CLIP[0], out=p), _CLIP[1], out=p)
 
 
-def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows of one sentence's grams, in float64.
-    The sum and division are `mean`'s own, bit for bit, without its wrapper."""
-    if ids.size == 0:
-        return np.zeros(emb.shape[1], dtype=np.float64)
-    return np.add.reduce(emb.take(ids, axis=0), axis=0, dtype=np.float64) / ids.size
+def _pool(emb: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean of the embedding rows of one sentence's grams, in float64,
+    written to `out` when given; zeros for no grams. The sum and division
+    are `mean`'s own, bit for bit, without its wrapper."""
+    total = np.add.reduce(emb.take(ids, axis=0), axis=0, dtype=np.float64, out=out)
+    total /= max(ids.size, 1)
+    return total
 
 
 def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
-    """One pooled row per sentence, in order."""
-    return np.stack([_pool(emb, ids) for ids in feats])
+    """One pooled row per sentence, in order, pooled into one array."""
+    out = np.empty((len(feats), emb.shape[1]), dtype=np.float64)
+    for ids, row in zip(feats, out):
+        _pool(emb, ids, row)
+    return out
 
 
 def _layers(params: Sequence[np.ndarray], e: np.ndarray):
@@ -238,8 +246,9 @@ def targets_for(labels: LabelSet) -> np.ndarray:
 
 
 def _targets(items: Sequence[LabeledSentence]) -> np.ndarray:
-    """One target row per item; shape (0, 4) when there are none."""
-    return np.array([targets_for(item.labels) for item in items]).reshape(-1, N_OUTPUTS)
+    """One `targets_for` row per item, filled in one pass; shape (0, 4) when there are none."""
+    bits = (lang in item.labels for item in items for lang in OUTPUT_ORDER)
+    return np.fromiter(bits, np.float64, count=len(items) * N_OUTPUTS).reshape(-1, N_OUTPUTS)
 
 
 # ----------------------------------------------------------------------
@@ -272,8 +281,10 @@ def _loss(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarr
 
 def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
     """Loss plus gradients in parameter order. The embedding gradient is
-    sparse, ``(ids, rows)`` with one row per gram occurrence: scatter-add
-    the rows into the table to apply it."""
+    sparse, ``(ids, lengths, rows)``: the gram ids of the whole batch, each
+    sentence's gram count, and one row per sentence, its pooled gradient
+    divided by its length, which is the gradient of each of its grams.
+    `_scatter_add` applies it."""
     emb, w1, _, w2, _ = params
     e = _pool_all(emb, feats)
     z1, h, z2 = _layers(params, e)
@@ -282,17 +293,23 @@ def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.n
     dz2 = (_sigmoid(z2) - y) / z2.size
     dz1 = (dz2 @ w2) * (z1 > 0)
     de = dz1 @ w1
-    lengths = [ids.size for ids in feats]
-    rows = np.repeat(de / np.maximum(np.array(lengths), 1)[:, None], lengths, axis=0)
-    emb_grad = (np.concatenate(feats), rows)
+    lengths = np.array([ids.size for ids in feats])
+    emb_grad = (np.concatenate(feats), lengths, de / np.maximum(lengths, 1)[:, None])
     return loss, [emb_grad, dz1.T @ e, dz1.sum(axis=0), dz2.T @ h, dz2.sum(axis=0)]
 
 
-def _scatter_add(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``table[ids[k]] += rows[k]`` for every k in order, in place. `table`
-    must be C-contiguous, so that its flat reshape is a view."""
+def _scatter_add(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> None:
+    """``table[ids[k]] += rows[j]`` in place, for every gram k in order,
+    where sentence j holds ``lengths[j]`` consecutive grams. `table` must
+    be C-contiguous, so that its flat reshape is a view.
+
+    Values and flat indices are laid out column-major, (dim, grams): each
+    index loop then runs over every gram rather than over dim elements.
+    `np.add.at` adds in index order, and within a column the grams keep
+    their order, so each element's additions keep theirs."""
     dim = table.shape[1]
-    np.add.at(table.reshape(-1), (ids[:, None] * dim + np.arange(dim)).ravel(), rows.ravel())
+    index = ids * dim + np.arange(dim)[:, None]
+    np.add.at(table.reshape(-1), index.ravel(), np.repeat(rows.T, lengths, axis=1).ravel())
 
 
 def loss_and_grads(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
@@ -412,7 +429,7 @@ def train(
         if start == 0:
             order = rng.permutation(n)
         batch = order[start : start + tcfg.batch_size]
-        loss, ((ids, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
+        loss, ((ids, lengths, rows), *head_grads) = _backprop(params, [feats[i] for i in batch], y[batch])
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at step {step} (epoch {epoch}); "
@@ -427,8 +444,9 @@ def train(
             a += v
         # Sparse embedding update: only touched rows move (plain SGD,
         # no momentum, which keeps the update cost proportional to
-        # the batch's gram count).
-        _scatter_add(emb, ids, -lr * rows)
+        # the batch's gram count). Scaled per sentence, before the
+        # rows are repeated per gram.
+        _scatter_add(emb, ids, lengths, -lr * rows)
 
         if len(valid_set) and (step % tcfg.eval_interval == 0 or step == last_step):
             metric = _validation_metric(params, vfeats, vy, threshold)

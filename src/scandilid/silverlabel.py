@@ -23,7 +23,10 @@ them all, so a translator may buffer its output. A pass whose process
 exits non-zero, writes output that is not UTF-8, or answers with the
 wrong number of lines is split in halves and each half retried as a pass
 of its own, down to one record per process; each record that still fails
-is counted and skipped.
+is counted and skipped. When every request of a failed pass's first half
+fails, its second half goes one request per process, so a translator that
+fails everything costs at most N + ⌈log2 N⌉ + 1 processes for N requests,
+not 2N − 1.
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ def translate_command(command: str, target: Language, text: str) -> str | None:
 def _translate_pass(command: str, requests: list[tuple[Language, str]]) -> list[str | None]:
     """One translation (or None) per request. A failed pass is split in
     halves, each retried as its own pass, so k bad requests among N cost
-    O(k log N) processes; a single request goes through translate_command."""
+    O(k log N) processes; a single request goes through translate_command.
+    A second half whose first half failed entirely goes one request per
+    process, which bounds a pass that fails everything to N + ⌈log2 N⌉ + 1."""
     if len(requests) == 1:
         return [translate_command(command, *requests[0])]
     stdout = _run_translator(command, requests)
@@ -186,7 +191,10 @@ def _translate_pass(command: str, requests: list[tuple[Language, str]]) -> list[
         "translator command failed on a pass of %d request(s); retrying in halves", len(requests)
     )
     half = len(requests) // 2
-    return _translate_pass(command, requests[:half]) + _translate_pass(command, requests[half:])
+    first = _translate_pass(command, requests[:half])
+    if any(t is not None for t in first):
+        return first + _translate_pass(command, requests[half:])
+    return first + [translate_command(command, *request) for request in requests[half:]]
 
 
 def generate_translations(

@@ -46,6 +46,7 @@ from scandilid.model import (
     _scatter_add,
     _shapes,
     _sigmoid,
+    _targets,
     _validation_metric,
 )
 from scandilid.synthetic import ambiguous_indices, generate_corpus
@@ -246,6 +247,19 @@ def test_targets_for():
     assert targets_for(LabelSet.of("other")).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_targets_stacks_targets_for_rows():
+    choices = [LabelSet.of("other")] + [
+        LabelSet(frozenset(c)) for r in range(1, 5) for c in itertools.combinations(OUTPUT_ORDER, r)
+    ]
+    rng = np.random.default_rng(4)
+    items = [LabeledSentence("x", choices[i]) for i in rng.integers(len(choices), size=300)]
+    assert {item.labels for item in items} == set(choices)
+    expected = np.stack([targets_for(item.labels) for item in items])
+    assert _targets(items).dtype == expected.dtype
+    assert _targets(items).tobytes() == expected.tobytes()
+    assert _targets([]).shape == (0, 4)
+
+
 def test_output_order_is_fixed():
     assert [l.value for l in OUTPUT_ORDER] == ["da", "nb", "nn", "sv"]
 
@@ -295,15 +309,19 @@ def test_untouched_embedding_rows_have_zero_gradient():
 @pytest.mark.parametrize("dim", [1, 8, 32])
 def test_scatter_add_matches_two_dimensional_add_at_bit_for_bit(dim):
     # Ids repeated hundreds of times in one batch, far more than the tiny
-    # golden corpus reaches: every table element must take its additions
-    # in the order the 2-D np.add.at gives them.
+    # golden corpus reaches, over ragged sentence lengths, 0 among them:
+    # every table element must take its additions in the order the 2-D
+    # np.add.at of one row per gram gives them.
     rng = np.random.default_rng(dim)
-    ids = rng.zipf(1.3, size=6000) % 512
-    rows = rng.normal(0, 1, size=(ids.size, dim))
+    lengths = rng.integers(1, 400, size=40)
+    lengths[::7] = 0
+    lengths[-1] = 0
+    ids = rng.zipf(1.3, size=lengths.sum()) % 512
+    rows = rng.normal(0, 1, size=(lengths.size, dim))
     table = rng.uniform(-1, 1, size=(512, dim))
     expected = table.copy()
-    np.add.at(expected, ids, rows)
-    _scatter_add(table, ids, rows)
+    np.add.at(expected, ids, np.repeat(rows, lengths, axis=0))
+    _scatter_add(table, ids, lengths, rows)
     assert np.bincount(ids).max() > 100
     assert table.tobytes() == expected.tobytes()
 

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scandilid import silverlabel
 from scandilid.core import DataError, Dataset, LabeledSentence, LabelSet, Language
 from scandilid.silverlabel import (
     ExtendSummary,
@@ -339,3 +341,25 @@ def test_one_bad_request_costs_logarithmic_spawns(tmp_path, monkeypatch):
     assert starts.read_text().count("\n") == 1 + 2 * 4
     assert failures == 1
     assert [r.item_index for r in records] == [i for i in range(16) if i != 5]
+
+
+def test_every_request_failing_costs_linear_spawns(tmp_path, monkeypatch):
+    starts, command = counting_command(tmp_path, monkeypatch, "false")
+    n = 20
+    d = Dataset("train", tuple(LabeledSentence(f"Jeg har plan {i}.", LabelSet.of("da")) for i in range(n)))
+    assert generate_translations(d, [Language.NB], command) == ([], n)
+    # The pass of 20 and its first halves of 10, 5, 2 and 1 all fail; each
+    # second half then goes one request per process: 1 + 3 + 5 + 10.
+    # Halving all the way down would take 2 * 20 - 1 = 39.
+    assert starts.read_text().count("\n") == 5 + (n - 1)
+
+
+def test_failing_pass_spawns_at_most_n_plus_log_n(monkeypatch):
+    spawns = []
+    # Records each spawn's requests and returns None (append's result): every process fails.
+    monkeypatch.setattr(silverlabel, "_run_translator", lambda command, requests: spawns.append(requests))
+    for n in range(1, 300):
+        spawns.clear()
+        requests = [(Language.NB, f"t{i}") for i in range(n)]
+        assert silverlabel._translate_pass("false", requests) == [None] * n
+        assert len(spawns) <= n + math.ceil(math.log2(n)) + 1, n
