@@ -7,10 +7,18 @@ language is predicted when its probability reaches the decision
 threshold; when every output stays below it, the sentence falls back
 to `other`.
 
-Training is plain minibatch gradient descent (momentum on the dense
-head only) on the mean binary cross-entropy of the four outputs.
+Training minimizes the mean binary cross-entropy of the four outputs
+over minibatches. The dense head takes the batch-mean gradient step with
+momentum. The embedding table takes a per-example step, as fastText's SGD
+does (Joulin et al. 2017, arXiv:1607.01759): each sentence's grams move
+by the learning rate times the gradient of that sentence's own loss, the
+batch-mean gradient times the batch size, without momentum. A row is
+touched by few sentences of a batch, so a batch-mean step would shrink
+its update about batch-size-fold, and languages that share one alphabet
+and differ only in their words would not separate.
 Weights are stored as float32; training and loss accumulation run in
-float64 so the analytic gradients verify against finite differences.
+float64, and `gradient_check` in `tests/test_model.py` verifies the
+analytic gradients against central differences.
 The embedding gradient is sparse: each gram of a sentence gets the
 sentence's pooled gradient divided by its length, so `_backprop` returns
 one such row per sentence, with the batch's gram ids and sentence lengths,
@@ -23,10 +31,18 @@ gram, and every bit is the same.
 
 Serving, the training loss, backprop, validation and the gradient
 check share one forward path: `_pool` averages a sentence's embedding
-rows, gathered with `take`, and `_layers` applies the head to one pooled
-vector or a batch of them. `take` has a slow path for float32 rows that
-do not start on a 4-byte boundary, so `FastModel` holds only aligned
-arrays and `load_model` reads the file to an offset that aligns them.
+rows and `_layers` applies the head to one pooled vector or a batch of
+them. `_pool` gathers the rows with `take`, casts them to float64 and
+sums them as ``ones @ rows``, one BLAS `dgemv` call that streams every
+row, where a reduction along axis 0 runs one inner loop of `embed_dim`
+elements per row. The kernel picks its summation order, so on training's
+float64 table the sums, and so trained bits, depend on the BLAS build, as
+`_layers`' matmuls already make them do. A served float32 table's rows
+sum exactly in float64, in any order, while every partial sum stays below
+2^29 times the smallest nonzero magnitude among them. `take` has a slow
+path for float32 rows that do not start on a 4-byte boundary, so
+`FastModel` holds only aligned arrays and `load_model` reads the file to
+an offset that aligns them.
 `FastModel` holds a float64 copy of the head for serving, cast once and
 not on every call, each matrix in the layout numpy casts a float32 one to
 inside a mixed matmul (a contiguous transpose), so the bits are the same;
@@ -178,12 +194,18 @@ def _probabilities(z: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, _CLIP[0], out=p), _CLIP[1], out=p)
 
 
+_ONES = np.ones(4096)  # `_pool`'s summing vector, sliced; a longer sentence gets its own
+_ONES.flags.writeable = False
+
+
 def _pool(emb: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Mean of the embedding rows of one sentence's grams, in float64,
-    written to `out` when given; zeros for no grams. The sum and division
-    are `mean`'s own, bit for bit, without its wrapper."""
-    total = np.add.reduce(emb.take(ids, axis=0), axis=0, dtype=np.float64, out=out)
-    total /= max(ids.size, 1)
+    written to `out` when given; zeros for no grams. The rows are summed
+    as ``ones @ rows``, one BLAS matrix-vector product."""
+    n = ids.size
+    ones = _ONES[:n] if n <= _ONES.size else np.ones(n)
+    total = np.matmul(ones, emb.take(ids, axis=0).astype(np.float64, copy=False), out=out)
+    total /= max(n, 1)
     return total
 
 
@@ -312,14 +334,6 @@ def _scatter_add(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray, rows: 
     np.add.at(table.reshape(-1), index.ravel(), np.repeat(rows.T, lengths, axis=1).ravel())
 
 
-def loss_and_grads(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
-    """Mean BCE and dense gradients for every parameter array, in parameter order."""
-    loss, (emb_grad, *head_grads) = _backprop(params, feats, y)
-    gemb = np.zeros_like(params[0])
-    _scatter_add(gemb, *emb_grad)
-    return loss, [gemb, *head_grads]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
@@ -442,11 +456,11 @@ def train(
             v *= tcfg.momentum
             v -= lr * g
             a += v
-        # Sparse embedding update: only touched rows move (plain SGD,
-        # no momentum, which keeps the update cost proportional to
-        # the batch's gram count). Scaled per sentence, before the
-        # rows are repeated per gram.
-        _scatter_add(emb, ids, lengths, -lr * rows)
+        # Sparse per-example embedding step (see the module docstring):
+        # only touched rows move, without momentum, so the update costs
+        # the batch's gram count. Scaled per sentence, before the rows
+        # are repeated per gram.
+        _scatter_add(emb, ids, lengths, -lr * len(batch) * rows)
 
         if len(valid_set) and (step % tcfg.eval_interval == 0 or step == last_step):
             metric = _validation_metric(params, vfeats, vy, threshold)
@@ -479,58 +493,6 @@ def train(
         best_step=best_step,
         best_metric=best_metric,
     )
-
-
-# ----------------------------------------------------------------------
-# Gradient verification
-
-
-def gradient_check(
-    fcfg: FeaturizerConfig,
-    batch: Sequence,
-    seed: int = 0,
-    step: float = 1e-4,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Only small models are accepted (bucket_count <= 64, embed_dim <= 8)
-    so the sweep stays exact and fast. Parameters are redrawn until no
-    hidden pre-activation sits within 8*step of the ReLU kink, which
-    keeps the finite differences valid. The relative error is measured
-    per parameter block, normalized by the block's largest gradient
-    magnitude.
-    """
-    if fcfg.bucket_count > 64 or fcfg.embed_dim > 8:
-        raise ValueError("gradient_check needs a small model (bucket_count <= 64, embed_dim <= 8)")
-    feats = featurize_many([item.text for item in batch], fcfg)
-    y = _targets(batch)
-
-    rng = np.random.default_rng(seed)
-    margin = 8.0 * step
-    for _ in range(1000):
-        params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(fcfg)]
-        z1, _, _ = _layers(params, _pool_all(params[0], feats))
-        if np.abs(z1).min() > margin:
-            break
-    else:  # pragma: no cover - would need absurdly unlucky sampling
-        raise RuntimeError("could not sample parameters clear of the ReLU kink")
-
-    _, analytic = loss_and_grads(params, feats, y)
-
-    worst = 0.0
-    for arr, ana in zip(params, analytic):
-        num = np.zeros(arr.shape)
-        for idx in np.ndindex(arr.shape):
-            original = arr[idx]
-            arr[idx] = original + step
-            up = _loss(params, feats, y)
-            arr[idx] = original - step
-            down = _loss(params, feats, y)
-            arr[idx] = original
-            num[idx] = (up - down) / (2.0 * step)
-        denom = max(np.abs(ana).max(), np.abs(num).max(), 1e-8)
-        worst = max(worst, float(np.abs(ana - num).max() / denom))
-    return worst
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import struct
 import tracemalloc
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,8 @@ from scandilid.model import (
     TrainConfig,
     TrainingError,
     forward,
-    gradient_check,
     head_parameter_count,
     load_model,
-    loss_and_grads,
     predict,
     predict_top1,
     save_model,
@@ -37,6 +36,7 @@ from scandilid.model import (
 )
 from scandilid.model import (
     _ARRAY_NAMES,
+    _backprop,
     _decode,
     _init_params,
     _layers,
@@ -49,7 +49,12 @@ from scandilid.model import (
     _targets,
     _validation_metric,
 )
-from scandilid.synthetic import ambiguous_indices, generate_corpus
+from scandilid.synthetic import (
+    SHARED_ALPHABET,
+    ambiguous_indices,
+    generate_corpus,
+    generate_shared_alphabet_corpus,
+)
 
 
 def small_config(**overrides):
@@ -283,6 +288,57 @@ GRADCHECK_BATCH = batch(
 )
 
 
+def loss_and_grads(params, feats, y):
+    """Mean BCE and dense gradients for every parameter array, in parameter order."""
+    loss, (emb_grad, *head_grads) = _backprop(params, feats, y)
+    gemb = np.zeros_like(params[0])
+    _scatter_add(gemb, *emb_grad)
+    return loss, [gemb, *head_grads]
+
+
+def gradient_check(fcfg, batch, seed=0, step=1e-4):
+    """Max relative error between analytic and central-difference gradients.
+
+    Only small models are accepted (bucket_count <= 64, embed_dim <= 8)
+    so the sweep stays exact and fast. Parameters are redrawn until no
+    hidden pre-activation sits within 8*step of the ReLU kink, which
+    keeps the finite differences valid. The relative error is measured
+    per parameter block, normalized by the block's largest gradient
+    magnitude.
+    """
+    if fcfg.bucket_count > 64 or fcfg.embed_dim > 8:
+        raise ValueError("gradient_check needs a small model (bucket_count <= 64, embed_dim <= 8)")
+    feats = featurize_many([item.text for item in batch], fcfg)
+    y = _targets(batch)
+
+    rng = np.random.default_rng(seed)
+    margin = 8.0 * step
+    for _ in range(1000):
+        params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(fcfg)]
+        z1, _, _ = _layers(params, _pool_all(params[0], feats))
+        if np.abs(z1).min() > margin:
+            break
+    else:  # pragma: no cover - would need absurdly unlucky sampling
+        raise RuntimeError("could not sample parameters clear of the ReLU kink")
+
+    _, analytic = loss_and_grads(params, feats, y)
+
+    worst = 0.0
+    for arr, ana in zip(params, analytic):
+        num = np.zeros(arr.shape)
+        for idx in np.ndindex(arr.shape):
+            original = arr[idx]
+            arr[idx] = original + step
+            up = _loss(params, feats, y)
+            arr[idx] = original - step
+            down = _loss(params, feats, y)
+            arr[idx] = original
+            num[idx] = (up - down) / (2.0 * step)
+        denom = max(np.abs(ana).max(), np.abs(num).max(), 1e-8)
+        worst = max(worst, float(np.abs(ana - num).max() / denom))
+    return worst
+
+
 def test_gradient_check_small():
     for seed in range(3):
         err = gradient_check(small_config(), GRADCHECK_BATCH, seed=seed)
@@ -326,6 +382,15 @@ def test_scatter_add_matches_two_dimensional_add_at_bit_for_bit(dim):
     assert table.tobytes() == expected.tobytes()
 
 
+def sum_bound(rows):
+    """How far two float64 means of `rows`' columns, each summed in any
+    order and then divided, may lie apart: each sum is within
+    gamma_(n-1) * sum|x| of the exact one (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., (4.4)), and each division adds u."""
+    n, u = len(rows), 2.0**-53
+    return 2.0 * (n * u / (1.0 - n * u)) * np.abs(rows).sum(axis=0) / n
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dim", [1, 8, 32, 322])
 def test_pool_is_mean_bit_for_bit(dtype, dim):
@@ -335,7 +400,85 @@ def test_pool_is_mean_bit_for_bit(dtype, dim):
     for table in (emb, unaligned_copy(emb)):
         for length in range(1, 58):
             ids = rng.integers(0, 1024, size=length)
-            assert _pool(table, ids).tobytes() == emb[ids].mean(axis=0, dtype=np.float64).tobytes()
+            got = _pool(table, ids)
+            if dtype is np.float32:
+                assert got.tobytes() == emb[ids].mean(axis=0, dtype=np.float64).tobytes()
+            else:
+                # The BLAS kernel sums float64 rows in an order of its own:
+                # `_pool` is its ones @ rows, and `mean` within rounding.
+                assert got.tobytes() == (np.ones(length) @ emb[ids] / length).tobytes()
+                assert np.all(np.abs(got - emb[ids].mean(axis=0)) <= sum_bound(emb[ids]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_pool_handles_every_length(dtype, dim):
+    # No grams, one gram, and sentences either side of the length of
+    # the ones vector that `_pool` slices, each written to `out`.
+    rng = np.random.default_rng(dim)
+    emb = rng.normal(0, 1, size=(8192, dim)).astype(dtype)
+    size = model_module._ONES.size
+    for length in (0, 1, size - 1, size, size + 1):
+        ids = rng.integers(0, 8192, size=length)
+        rows = emb[ids].astype(np.float64)
+        out = np.full(dim, np.nan)
+        assert _pool(emb, ids, out) is out
+        assert out.tobytes() == _pool(emb, ids).tobytes()
+        if length == 0:
+            assert out.tobytes() == np.zeros(dim).tobytes()
+        elif length == 1:
+            assert out.tobytes() == rows[0].tobytes()
+        else:
+            assert out.tobytes() == (np.ones(length) @ rows / length).tobytes()
+            assert np.all(np.abs(out - rows.mean(axis=0)) <= sum_bound(rows))
+
+
+def test_pool_repeats_its_bits():
+    # The same sentence pooled again, and from four threads at once,
+    # from one row of width 1 to past n * dim = 9216, where OpenBLAS
+    # starts to split a gemv over threads.
+    rng = np.random.default_rng(3)
+    for dim in (1, 8, 32, 322):
+        emb = rng.normal(0, 1, size=(8192, dim))
+        for length in (1, 57, 300, 5000):
+            ids = rng.integers(0, 8192, size=length)
+            first = _pool(emb, ids).tobytes()
+            assert _pool(emb, ids).tobytes() == first
+            with ThreadPoolExecutor(4) as pool:
+                assert set(pool.map(lambda _: _pool(emb, ids).tobytes(), range(8))) == {first}
+
+
+def reference_forward(model, text):
+    """Clipped probabilities from exactly rounded float64 sums (`math.fsum`)."""
+    ids = featurize(text, model.featurizer)
+    rows = model.embeddings[ids].astype(np.float64)
+    e = [math.fsum(col) / max(len(ids), 1) for col in rows.T]
+    w1, b1, w2, b2 = (a.astype(np.float64).tolist() for a in (model.w1, model.b1, model.w2, model.b2))
+    h = [max(math.fsum(w * v for w, v in zip(row, e)) + b, 0.0) for row, b in zip(w1, b1)]
+    z = [math.fsum(w * v for w, v in zip(row, h)) + b for row, b in zip(w2, b2)]
+    p = [1.0 / (1.0 + math.exp(-v)) if v >= 0 else math.exp(v) / (1.0 + math.exp(v)) for v in z]
+    return np.clip(p, 1e-15, 1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_forward_matches_a_float64_reference_on_wide_magnitudes(dim):
+    # Embedding values spread over nine decades, so that float32 rows do
+    # not always sum exactly in float64 and the order of the sum shows.
+    cfg = FeaturizerConfig(bucket_count=1024, embed_dim=dim)
+    rng = np.random.default_rng(dim)
+    scale = 10.0 ** rng.uniform(-7, 2, size=(cfg.bucket_count, dim))
+    model = FastModel(
+        cfg,
+        (rng.normal(0, 1, size=scale.shape) * scale).astype(np.float32),
+        rng.normal(0, 0.1 / math.sqrt(dim), (64, dim)).astype(np.float32),
+        rng.normal(0, 0.1, 64).astype(np.float32),
+        rng.normal(0, 0.2, (4, 64)).astype(np.float32),
+        rng.normal(0, 0.5, 4).astype(np.float32),
+    )
+    words = ["".join(rng.choice(list("abcdefghij"), size=rng.integers(1, 8))) for _ in range(300)]
+    texts = [""] + [" ".join(rng.choice(words, size=rng.integers(1, 30))) for _ in range(40)]
+    for text in texts:
+        np.testing.assert_allclose(forward(model, text), reference_forward(model, text), rtol=0, atol=1e-12)
 
 
 def test_duplicated_sample_gradient_linearity():
@@ -443,6 +586,43 @@ def test_training_learns_separable_corpus(tiny_corpus):
     assert result.history, "validation evaluations must be recorded"
 
 
+def test_shared_alphabet_corpus_differs_only_in_words():
+    train_set, test_set = generate_shared_alphabet_corpus(2000, 200, seed=4)
+    assert generate_shared_alphabet_corpus(2000, 200, seed=4) == (train_set, test_set)
+    assert set("".join(item.text for item in train_set)) == set(SHARED_ALPHABET + " ")
+    label_sets = {item.labels for item in train_set}
+    assert {LabelSet.of(lang) for lang in Language} <= label_sets
+    mixed = {labels for labels in label_sets if len(labels) > 1}
+    assert mixed == {LabelSet.of(a, b) for a, b in itertools.combinations(OUTPUT_ORDER, 2)}
+    # No word is in two labels' vocabularies.
+    words = {}
+    for item in train_set:
+        if len(item.labels) == 1:
+            for word in item.text.split():
+                words.setdefault(word, set()).add(item.labels)
+    assert max(map(len, words.values())) == 1
+
+
+def test_training_learns_languages_that_share_one_alphabet():
+    # Letters separate nothing here; a model that learns only letters
+    # stays at the base rate of five equally likely labels, about 0.2.
+    train_set, test_set = generate_shared_alphabet_corpus(3000, 600, seed=1)
+    fit, valid = train_set.with_items(train_set.items[:-400]), train_set.with_items(train_set.items[-400:])
+    cfg = FeaturizerConfig(bucket_count=1 << 14, embed_dim=16)
+    result = train(fit, valid, cfg, TrainConfig(epochs=8, eval_interval=20))
+    hits = {}
+    for item in test_set:
+        group = "mixed" if len(item.labels) > 1 else next(iter(item.labels)).value
+        hits.setdefault(group, []).append(predict(result.model, item.text) == item.labels)
+    assert sum(sum(h) for h in hits.values()) / len(test_set) >= 0.85
+    # Every label alone, `sv` and `other` among them, and the sentences
+    # that mix two languages' words and carry both labels.
+    rates = {group: sum(h) / len(h) for group, h in hits.items()}
+    assert len(rates) == 6
+    assert all(rate >= 0.9 for group, rate in rates.items() if group != "mixed"), rates
+    assert rates["mixed"] >= 0.15, rates
+
+
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "model_golden.json").read_text(encoding="utf-8"))
 
 
@@ -519,6 +699,19 @@ def test_training_is_deterministic(tiny_corpus):
     assert a.best_step == b.best_step
 
 
+def test_training_repeats_its_bits_where_blas_may_thread(tiny_corpus):
+    # Long sentences reach n * dim >= 9216 at this width, where OpenBLAS
+    # may split `_pool`'s gemv over threads.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=128)
+    assert max(ids.size for ids in featurize_many([item.text for item in fit], cfg)) * 128 >= 9216
+    a = train(fit, valid, cfg, tiny_train_config(epochs=2))
+    b = train(fit, valid, cfg, tiny_train_config(epochs=2))
+    for name in ("embeddings", "w1", "b1", "w2", "b2"):
+        assert getattr(a.model, name).tobytes() == getattr(b.model, name).tobytes()
+    assert (a.epoch_losses, a.history) == (b.epoch_losses, b.history)
+
+
 def test_zero_learning_rate_freezes_weights(tiny_corpus):
     fit, valid, _ = tiny_corpus
     cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
@@ -574,7 +767,7 @@ def test_training_without_validation_returns_final_weights(tiny_corpus, tmp_path
     path = tmp_path / "m.slfx"
     save_model(result.model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9c7a902cf72573768b4558690f2483d82b91d296af9f52ca367d58f7a98e79e0"
+        "b43a92b958dc117dc207748f61d0e82606b80b94a01ba1fcd7ea7571365533fe"
     )
 
 
