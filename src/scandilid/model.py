@@ -41,14 +41,16 @@ float64 table the sums, and so trained bits, depend on the BLAS build, as
 sum exactly in float64, in any order, while every partial sum stays below
 2^29 times the smallest nonzero magnitude among them. `take` has a slow
 path for float32 rows that do not start on a 4-byte boundary, so
-`FastModel` holds only aligned arrays and `load_model` reads the file to
-an offset that aligns them.
+`FastModel` holds only aligned arrays, and `save_model` pads the file's
+header so that its arrays start on one.
 `FastModel` holds a float64 copy of the head for serving, cast once and
 not on every call, each matrix in the layout numpy casts a float32 one to
 inside a mixed matmul (a contiguous transpose), so the bits are the same;
 a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
+`FastModel` shares no memory with an input unless that memory is
+immutable `bytes`, as under `load_model`'s views.
 
 `predict` decides on logits, the sigmoid being monotone: for threshold t and
 m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
@@ -67,7 +69,6 @@ import itertools
 import json
 import logging
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -149,7 +150,7 @@ class FastModel:
             # min and max propagate NaN, and allocate no array as large as arr.
             if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
-            if np.may_share_memory(arr, value) and not _read_only(arr):
+            if np.may_share_memory(arr, value) and not _over_bytes(arr):
                 arr = arr.copy()  # memory the caller can write: neither freeze nor share it
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -165,11 +166,12 @@ class FastModel:
             object.__setattr__(self, name, bound)
 
 
-def _read_only(arr: np.ndarray) -> bool:
-    """Whether every array down `arr`'s `base` chain is read-only, ending at an owner or bytes."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+def _over_bytes(arr: np.ndarray) -> bool:
+    """Whether `arr`'s `base` chain ends at `bytes`, which no one can write: numpy
+    lets the owner of other memory set `writeable` back on, even after it was off."""
+    while isinstance(arr, np.ndarray):
         arr = arr.base
-    return arr is None or isinstance(arr, bytes)
+    return isinstance(arr, bytes)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
@@ -500,7 +502,8 @@ def train(
 
 
 def save_model(model: FastModel, path: Path | str) -> None:
-    """Write the binary model format (magic, version, JSON header,
+    """Write the binary model format (magic, version, JSON header padded
+    with up to 3 spaces to start the arrays at a multiple of 4 bytes,
     float32 arrays, trailing CRC32)."""
     header = {
         "featurizer": dataclasses.asdict(model.featurizer),
@@ -509,6 +512,7 @@ def save_model(model: FastModel, path: Path | str) -> None:
         "label_order": [lang.value for lang in OUTPUT_ORDER],
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    header_bytes += b" " * (-(_FILE_START.size + len(header_bytes)) % 4)
     buf = bytearray(_FILE_START.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)))
     buf += header_bytes
     for name in _ARRAY_NAMES:
@@ -519,28 +523,21 @@ def save_model(model: FastModel, path: Path | str) -> None:
 
 def load_model(path: Path | str) -> FastModel:
     """Read a model file; forward outputs are bit-identical to the saved
-    model. Its arrays are read-only views of the file's bytes, which are
-    read into one buffer at the offset that starts the arrays on a 4-byte
-    boundary, whatever the header's length: `take` in `_pool` is many
-    times slower on unaligned float32 rows."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size < _FILE_START.size + 4:
-            raise ModelFormatError(f"{path}: file too short to be a model ({size} bytes)")
+    model. The file is read once, into `bytes`, and the arrays are views
+    of them, which `FastModel` holds as they are. `save_model` starts the
+    arrays on a 4-byte boundary, where `take` in `_pool` is many times
+    faster; `FastModel` copies those of an unpadded file to aligned ones."""
+    data = Path(path).read_bytes()
+    if len(data) < _FILE_START.size + 4:
+        raise ModelFormatError(f"{path}: file too short to be a model ({len(data)} bytes)")
 
-        magic, version, header_len = _FILE_START.unpack(f.read(_FILE_START.size))
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: bad magic: expected {MODEL_MAGIC!r}, found {magic!r}")
-        if version != MODEL_VERSION:
-            raise ModelFormatError(
-                f"{path}: unsupported version: expected {MODEL_VERSION}, found {version}"
-            )
-        pad = -(_FILE_START.size + header_len) % 4
-        buf = np.empty(size + 3, np.uint8)
-        _FILE_START.pack_into(buf, pad, magic, version, header_len)
-        size = _FILE_START.size + f.readinto(buf[pad + _FILE_START.size : pad + size])
-    buf.flags.writeable = False
-    data = buf[pad : pad + size]
+    magic, version, header_len = _FILE_START.unpack_from(data)
+    if magic != MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: bad magic: expected {MODEL_MAGIC!r}, found {magic!r}")
+    if version != MODEL_VERSION:
+        raise ModelFormatError(
+            f"{path}: unsupported version: expected {MODEL_VERSION}, found {version}"
+        )
 
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
     actual_crc = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
@@ -552,7 +549,7 @@ def load_model(path: Path | str) -> FastModel:
 
     header_end = _FILE_START.size + header_len
     try:
-        header = json.loads(data[_FILE_START.size : header_end].tobytes().decode("utf-8"))
+        header = json.loads(data[_FILE_START.size : header_end].decode("utf-8"))
         featurizer = header["featurizer"]
         threshold = header["threshold"]
         label_order = header["label_order"]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
 
@@ -126,7 +125,3 @@ def generate_shared_alphabet_corpus(n_train: int, n_test: int, seed: int = 0) ->
         return out
 
     return Dataset("train", tuple(items(n_train))), Dataset("test", tuple(items(n_test)))
-
-
-def ambiguous_indices(dataset: Dataset | Iterable[LabeledSentence]) -> list[int]:
-    return [i for i, item in enumerate(dataset) if len(item.labels) > 1]

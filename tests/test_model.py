@@ -51,7 +51,6 @@ from scandilid.model import (
 )
 from scandilid.synthetic import (
     SHARED_ALPHABET,
-    ambiguous_indices,
     generate_corpus,
     generate_shared_alphabet_corpus,
 )
@@ -767,7 +766,7 @@ def test_training_without_validation_returns_final_weights(tiny_corpus, tmp_path
     path = tmp_path / "m.slfx"
     save_model(result.model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "b43a92b958dc117dc207748f61d0e82606b80b94a01ba1fcd7ea7571365533fe"
+        "4bae90b87b998f4350de42fd2dd7a402a5f65ae004aa332a3dd66ec4b4cc1fb1"
     )
 
 
@@ -880,22 +879,59 @@ def test_load_model_holds_one_copy_of_the_weights(tmp_path):
     assert peak < 1.1 * path.stat().st_size
 
 
+def saved_header(path):
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 6)
+    return data[10 : 10 + header_len]
+
+
 def test_load_model_aligns_the_weights_whatever_the_header_length(tmp_path):
     cfg = FeaturizerConfig(bucket_count=1024, embed_dim=8)
-    offsets = []
+    unpadded_offsets = []
     for threshold in (0.5, 0.25, 0.125, 0.1234):
         model = random_model(cfg, threshold=threshold)
         path = tmp_path / f"{threshold}.slfx"
         save_model(model, path)
-        (header_len,) = struct.unpack_from("<I", path.read_bytes(), 6)
-        offsets.append((10 + header_len) % 4)
-        loaded = load_model(path)
-        for name in _ARRAY_NAMES:
-            arr = getattr(loaded, name)
-            assert arr.flags.aligned and not arr.flags.writeable, (threshold, name)
-            assert arr.tobytes() == getattr(model, name).tobytes(), (threshold, name)
-    # The arrays start at every offset modulo 4 in the file.
-    assert offsets == [1, 2, 3, 0]
+        header = saved_header(path)
+        # save_model pads the JSON header with up to 3 spaces, so the arrays start at 0 mod 4.
+        assert (10 + len(header)) % 4 == 0, threshold
+        assert len(header) - len(header.rstrip(b" ")) <= 3, threshold
+        assert json.loads(header) == {
+            "featurizer": dataclasses.asdict(cfg),
+            "hidden_size": 64,
+            "threshold": threshold,
+            "label_order": ["da", "nb", "nn", "sv"],
+        }
+        # Re-framed with an unpadded header, as v1 files were written before the padding.
+        unpadded = tmp_path / f"{threshold}-unpadded.slfx"
+        unpadded.write_bytes(path.read_bytes())
+        rewrite_model_file(unpadded, lambda header, arrays: None)
+        unpadded_offsets.append((10 + len(saved_header(unpadded))) % 4)
+        for loaded in (load_model(path), load_model(unpadded)):
+            for name in _ARRAY_NAMES:
+                arr = getattr(loaded, name)
+                assert arr.flags.aligned and not arr.flags.writeable, (threshold, name)
+                assert arr.tobytes() == getattr(model, name).tobytes(), (threshold, name)
+    # Unpadded, the arrays start at every offset modulo 4 in the file.
+    assert unpadded_offsets == [1, 2, 3, 0]
+
+
+def test_loaded_weights_are_views_of_immutable_bytes(tmp_path):
+    path = tmp_path / "m.slfx"
+    save_model(random_model(seed=7), path)
+    loaded = load_model(path)
+    bases = []
+    for name in _ARRAY_NAMES:
+        arr = base = getattr(loaded, name)
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert type(base) is bytes, name
+        bases.append(base)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.flags.writeable = True
+    # One read: every array is a view of the same bytes, the whole file.
+    assert all(base is bases[0] for base in bases)
+    assert bases[0] == path.read_bytes()
 
 
 def test_model_copies_unaligned_weights_to_aligned_arrays():
@@ -910,7 +946,7 @@ def test_model_copies_unaligned_weights_to_aligned_arrays():
         assert np.array_equal(forward(copied, text), forward(model, text)), text
 
 
-def test_model_neither_freezes_nor_shares_the_callers_arrays():
+def test_model_neither_freezes_nor_shares_the_callers_arrays(tmp_path):
     model = random_model(seed=5)
     texts = probe_sentences(20)
     arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
@@ -921,24 +957,33 @@ def test_model_neither_freezes_nor_shares_the_callers_arrays():
         arr += 1.0
     for text, p in zip(texts, before):
         assert forward(own, text).tobytes() == p.tobytes(), text
-    # A read-only input, such as a load_model view, is held as it is.
-    assert FastModel(model.featurizer, *(getattr(model, name) for name in _ARRAY_NAMES)).embeddings is model.embeddings
+    # A load_model view, over bytes no one can write, is held as it is.
+    path = tmp_path / "m.slfx"
+    save_model(model, path)
+    loaded = load_model(path)
+    held = FastModel(model.featurizer, *(getattr(loaded, name) for name in _ARRAY_NAMES))
+    for name in _ARRAY_NAMES:
+        assert getattr(held, name) is getattr(loaded, name), name
 
 
 def test_model_copies_a_read_only_view_of_memory_the_caller_can_write():
     model = random_model(seed=6)
     texts = probe_sentences(20)
-    arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
-    views = [arr.view() for arr in arrays]
-    for view in views:
-        view.flags.writeable = False
-    held = FastModel(model.featurizer, *views, threshold=model.threshold)
-    before = [forward(held, text) for text in texts]
-    for name, arr in zip(_ARRAY_NAMES, arrays):
-        arr += 1.0
-        assert not np.shares_memory(getattr(held, name), arr), name
-    for text, p in zip(texts, before):
-        assert forward(held, text).tobytes() == p.tobytes(), text
+    before = [forward(model, text) for text in texts]
+    # A read-only view of a writeable array, and an owner array flagged
+    # read-only: numpy lets the owner flag it writeable again.
+    for kind in ("view", "owner"):
+        arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
+        inputs = [arr.view() if kind == "view" else arr for arr in arrays]
+        for arr in inputs:
+            arr.flags.writeable = False
+        held = FastModel(model.featurizer, *inputs, threshold=model.threshold)
+        for name, arr in zip(_ARRAY_NAMES, arrays):
+            arr.flags.writeable = True
+            arr += 1.0
+            assert not np.shares_memory(getattr(held, name), arr), (kind, name)
+        for text, p in zip(texts, before):
+            assert forward(held, text).tobytes() == p.tobytes(), (kind, text)
     # Memory no one can write, such as bytes, is held as it is.
     frozen = np.frombuffer(model.embeddings.tobytes(), np.float32).reshape(model.embeddings.shape)
     assert frozen.flags.aligned
