@@ -49,8 +49,9 @@ inside a mixed matmul (a contiguous transpose), so the bits are the same;
 a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
-`FastModel` shares no memory with an input unless that memory is
-immutable `bytes`, as under `load_model`'s views.
+`FastModel` shares no memory with an input unless the input and every
+array down its `base` chain are read-only and the chain ends at `bytes`,
+as `load_model`'s views do.
 
 `predict` decides on logits, the sigmoid being monotone: for threshold t and
 m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
@@ -167,9 +168,10 @@ class FastModel:
 
 
 def _over_bytes(arr: np.ndarray) -> bool:
-    """Whether `arr`'s `base` chain ends at `bytes`, which no one can write: numpy
-    lets the owner of other memory set `writeable` back on, even after it was off."""
-    while isinstance(arr, np.ndarray):
+    """Whether every array down `arr`'s `base` chain is read-only, ending at `bytes`.
+    numpy lets the owner of other memory set `writeable` back on, and unpickles
+    an array as a writeable view of `bytes`."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
         arr = arr.base
     return isinstance(arr, bytes)
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 import struct
 import tracemalloc
 import zlib
@@ -971,15 +972,25 @@ def test_model_copies_a_read_only_view_of_memory_the_caller_can_write():
     texts = probe_sentences(20)
     before = [forward(model, text) for text in texts]
     # A read-only view of a writeable array, and an owner array flagged
-    # read-only: numpy lets the owner flag it writeable again.
-    for kind in ("view", "owner"):
+    # read-only: numpy lets the owner flag it writeable again. An array
+    # unpickled with protocols 0-4 is a writeable view of `bytes`; passed
+    # as it is or as a view, the caller can still write it.
+    for kind in ("view", "owner", "pickled", "pickled view"):
         arrays = [getattr(model, name).copy() for name in _ARRAY_NAMES]
-        inputs = [arr.view() if kind == "view" else arr for arr in arrays]
-        for arr in inputs:
-            arr.flags.writeable = False
+        pickled = kind.startswith("pickled")
+        if pickled:
+            arrays = [pickle.loads(pickle.dumps(arr, protocol=4)) for arr in arrays]
+            assert type(arrays[0].base) is bytes and arrays[0].flags.writeable
+        inputs = [arr[...] if kind.endswith("view") else arr for arr in arrays]
+        if not pickled:
+            for arr in inputs:
+                arr.flags.writeable = False
         held = FastModel(model.featurizer, *inputs, threshold=model.threshold)
         for name, arr in zip(_ARRAY_NAMES, arrays):
-            arr.flags.writeable = True
+            if pickled:
+                assert arr.flags.writeable, (kind, name)  # not frozen by the model
+            else:
+                arr.flags.writeable = True
             arr += 1.0
             assert not np.shares_memory(getattr(held, name), arr), (kind, name)
         for text, p in zip(texts, before):
