@@ -41,6 +41,10 @@ class PunctConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # An exact int, as in TrainConfig: the seed is formatted into a
+        # string, so 1.0 and True would draw other augmentations than 1.
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be int, got {self.seed!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise DataError(f"rate must be in [0,1], got {self.rate}")
         if not 0.0 <= self.space_prob <= 1.0:
@@ -146,6 +150,8 @@ def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: in
     and all labels stay byte-identical.
     """
     _refuse_protected_split(dataset, "ner_swap")
+    if type(seed) is not int:  # as in PunctConfig
+        raise TypeError(f"seed must be int, got {seed!r}")
 
     categories = {a.category for a in annotations}
     inventories = {c: sorted({a.surface for a in annotations if a.category == c}) for c in categories}

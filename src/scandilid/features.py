@@ -50,12 +50,9 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PRIME = np.uint64(FNV_PRIME)
 
-HIDDEN_SIZE = 64
-N_OUTPUTS = 4
-
 # Embedding width that puts the classifier head (two dense layers over
-# a HIDDEN_SIZE bottleneck) at exactly 20,932 parameters, the published
-# head size: 64*322 + 64 + 4*64 + 4.
+# `model.HIDDEN_SIZE`'s 64-unit bottleneck) at exactly 20,932 parameters,
+# the published head size: 64*322 + 64 + 4*64 + 4.
 REFERENCE_HEAD_EMBED_DIM = 322
 
 

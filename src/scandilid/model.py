@@ -70,6 +70,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -79,11 +80,13 @@ from typing import Sequence
 import numpy as np
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
-from .features import HIDDEN_SIZE, N_OUTPUTS, FeaturizerConfig, featurize, featurize_many
+from .features import FeaturizerConfig, featurize, featurize_many
 
 logger = logging.getLogger(__name__)
 
 OUTPUT_ORDER: tuple[Language, ...] = SCANDINAVIAN
+HIDDEN_SIZE = 64
+N_OUTPUTS = len(OUTPUT_ORDER)
 
 MODEL_MAGIC = b"SLFX"
 MODEL_VERSION = 1
@@ -114,9 +117,13 @@ def _shapes(cfg: FeaturizerConfig) -> list[tuple[int, ...]]:
     ]
 
 
-def _check_threshold(threshold: float) -> None:
+def _check_threshold(threshold: float) -> float:
+    """`threshold` as a Python float, if it is a real number, not a bool, in (0,1)."""
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise TypeError(f"threshold must be a real number, got {threshold!r}")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
+    return float(threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +162,7 @@ class FastModel:
                 arr = arr.copy()  # memory the caller can write: neither freeze nor share it
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _check_threshold(self.threshold)
+        object.__setattr__(self, "threshold", _check_threshold(self.threshold))
         w1, w2 = (np.ascontiguousarray(w.T, np.float64).T for w in (self.w1, self.w2))
         head = (self.embeddings, w1, self.b1.astype(np.float64), w2, self.b2.astype(np.float64))
         for arr in head:
@@ -350,12 +357,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # Exact type checks, as in FeaturizerConfig: bool is a subclass of int.
-        for name in ("epochs", "batch_size", "eval_interval", "patience"):
+        for name in ("epochs", "batch_size", "seed", "eval_interval", "patience"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise TypeError(f"{name} must be int, got {value!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_interval < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, eval_interval and patience must be positive")
+        if self.seed < 0:  # np.random.default_rng refuses a negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.learning_rate >= 0:  # NaN fails this test too
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -417,7 +426,7 @@ def train(
     ``best_metric`` NaN. Texts are featurized as-is: normalize
     beforehand if the pipeline calls for it.
     """
-    _check_threshold(threshold)
+    threshold = _check_threshold(threshold)
     if len(train_set) == 0:
         raise TrainingError("training set is empty")
 
@@ -553,11 +562,9 @@ def load_model(path: Path | str) -> FastModel:
     try:
         header = json.loads(data[_FILE_START.size : header_end].decode("utf-8"))
         featurizer = header["featurizer"]
-        threshold = header["threshold"]
+        threshold = _check_threshold(header["threshold"])
         label_order = header["label_order"]
         hidden = header["hidden_size"]
-        if type(threshold) not in (int, float):
-            raise TypeError(f"threshold must be a number, got {threshold!r}")
         fcfg = FeaturizerConfig(**featurizer)
     except (AttributeError, KeyError, TypeError, ValueError, UnicodeDecodeError) as e:
         raise ModelFormatError(f"{path}: bad header: {e}") from None

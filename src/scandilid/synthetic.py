@@ -1,22 +1,25 @@
 """Synthetic corpora whose difficulty is known by construction.
 
+Both generators draw every sentence through one sampler, `_sample`,
+and differ only in their word source, a function from a label to a word:
+
 `generate_corpus`: three artificial languages use pairwise disjoint
 character sets, so a classifier that reads character n-grams can in
-principle reach perfect accuracy; a configurable fraction of sentences
-deliberately mixes two alphabets and carries both labels.
+principle reach perfect accuracy. A word is 2-7 random letters of its
+label's alphabet, so a mixed sentence mixes two alphabets.
 
 `generate_shared_alphabet_corpus`: da, nb, nn, sv and `other` share one
 alphabet and differ only in their words, as the Scandinavian languages
-do. Each draws words from a vocabulary of its own by Zipf rank; a
-fraction of sentences mixes the words of two Scandinavian languages and
-carries both labels. Letters alone separate nothing here, so a model
-must learn the languages from their words.
+do. Each draws words from a vocabulary of its own by Zipf rank, and
+only the Scandinavian languages mix. Letters alone separate nothing
+here, so a model must learn the languages from their words.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Sequence
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
 
@@ -26,54 +29,47 @@ ALPHABETS: dict[str, str] = {
     "nn": "opqrstu",
 }
 
-_TAGS = tuple(ALPHABETS)
-_PAIRS = tuple(
-    (a, b) for i, a in enumerate(_TAGS) for b in _TAGS[i + 1 :]
-)
+_TAGS = tuple(map(Language, ALPHABETS))
+_PAIRS = tuple(itertools.combinations(_TAGS, 2))
+_MIXED_FRACTION = 0.10
 
 
 def _word(rng: random.Random, alphabet: str) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 7)))
 
 
-def _pure_sentence(rng: random.Random, alphabet: str) -> str:
-    return " ".join(_word(rng, alphabet) for _ in range(rng.randint(3, 9)))
-
-
-def _ambiguous_sentence(rng: random.Random, first: str, second: str) -> str:
-    # At least one word from each alphabet, remainder drawn from either.
-    words = [_word(rng, first), _word(rng, second)]
-    words += [_word(rng, rng.choice((first, second))) for _ in range(rng.randint(1, 7))]
-    rng.shuffle(words)
-    return " ".join(words)
-
-
-def _items(rng: random.Random, n: int, ambiguous_fraction: float) -> list[LabeledSentence]:
-    items = []
-    for _ in range(n):
-        if rng.random() < ambiguous_fraction:
-            first, second = _PAIRS[rng.randrange(len(_PAIRS))]
-            items.append(
-                LabeledSentence(_ambiguous_sentence(rng, ALPHABETS[first], ALPHABETS[second]),
-                                LabelSet.of(first, second))
-            )
-        else:
-            tag = _TAGS[rng.randrange(len(_TAGS))]
-            items.append(LabeledSentence(_pure_sentence(rng, ALPHABETS[tag]), LabelSet.of(tag)))
-    return items
-
-
-def generate_corpus(
+def _sample(
+    rng: random.Random,
     n_train: int,
     n_test: int,
-    ambiguous_fraction: float = 0.10,
-    seed: int = 0,
+    tags: Sequence[Language],
+    pairs: Sequence[tuple[Language, Language]],
+    word: Callable[[Language], str],
 ) -> tuple[Dataset, Dataset]:
-    """Deterministic (train, test) pair; test items are freshly drawn."""
+    """Deterministic (train, test) pair; test items are freshly drawn.
+    A pure sentence has 3-9 words of one of `tags`, drawn with equal
+    odds; a mixed one (one in ten) has 3-9 words of one of `pairs`, at
+    least one of each, and carries both labels."""
+    splits = []
+    for split, n in (("train", n_train), ("test", n_test)):
+        items = []
+        for _ in range(n):
+            if rng.random() < _MIXED_FRACTION:
+                pair = pairs[rng.randrange(len(pairs))]
+                words = [word(pair[0]), word(pair[1])] + [word(rng.choice(pair)) for _ in range(rng.randint(1, 7))]
+                rng.shuffle(words)
+                items.append(LabeledSentence(" ".join(words), LabelSet.of(*pair)))
+            else:
+                lang = tags[rng.randrange(len(tags))]
+                items.append(LabeledSentence(" ".join(word(lang) for _ in range(rng.randint(3, 9))), LabelSet.of(lang)))
+        splits.append(Dataset(split, tuple(items)))
+    return splits[0], splits[1]
+
+
+def generate_corpus(n_train: int, n_test: int, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """Deterministic (train, test) pair over three disjoint alphabets."""
     rng = random.Random(seed)
-    train = Dataset("train", tuple(_items(rng, n_train, ambiguous_fraction)))
-    test = Dataset("test", tuple(_items(rng, n_test, ambiguous_fraction)))
-    return train, test
+    return _sample(rng, n_train, n_test, _TAGS, _PAIRS, lambda lang: _word(rng, ALPHABETS[lang.value]))
 
 
 SHARED_ALPHABET = "abcdefghijklmnopqrstuvwxyzæøåäö"
@@ -81,7 +77,6 @@ _SHARED_TAGS = (*SCANDINAVIAN, Language.OTHER)
 _SHARED_PAIRS = tuple(itertools.combinations(SCANDINAVIAN, 2))
 _VOCABULARY_SIZE = 500
 _ZIPF_WEIGHTS = list(itertools.accumulate(rank**-1.07 for rank in range(1, _VOCABULARY_SIZE + 1)))
-_MIXED_FRACTION = 0.10
 
 
 def _vocabularies(rng: random.Random) -> dict[Language, list[str]]:
@@ -101,27 +96,10 @@ def _vocabularies(rng: random.Random) -> dict[Language, list[str]]:
 
 
 def generate_shared_alphabet_corpus(n_train: int, n_test: int, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Deterministic (train, test) pair over one alphabet; see the module
-    docstring. A pure sentence has 3-9 words of one label, drawn with
-    equal odds among da, nb, nn, sv and `other`; a mixed one (one in ten)
-    has 3-9 words of two Scandinavian languages, at least one of each."""
+    """Deterministic (train, test) pair over one alphabet; see the module docstring."""
     rng = random.Random(seed)
     vocabularies = _vocabularies(rng)
-
-    def word(lang: Language) -> str:
-        return rng.choices(vocabularies[lang], cum_weights=_ZIPF_WEIGHTS)[0]
-
-    def items(n: int) -> list[LabeledSentence]:
-        out = []
-        for _ in range(n):
-            if rng.random() < _MIXED_FRACTION:
-                pair = _SHARED_PAIRS[rng.randrange(len(_SHARED_PAIRS))]
-                words = [word(pair[0]), word(pair[1])] + [word(rng.choice(pair)) for _ in range(rng.randint(1, 7))]
-                rng.shuffle(words)
-                out.append(LabeledSentence(" ".join(words), LabelSet.of(*pair)))
-            else:
-                lang = _SHARED_TAGS[rng.randrange(len(_SHARED_TAGS))]
-                out.append(LabeledSentence(" ".join(word(lang) for _ in range(rng.randint(3, 9))), LabelSet.of(lang)))
-        return out
-
-    return Dataset("train", tuple(items(n_train))), Dataset("test", tuple(items(n_test)))
+    return _sample(
+        rng, n_train, n_test, _SHARED_TAGS, _SHARED_PAIRS,
+        lambda lang: rng.choices(vocabularies[lang], cum_weights=_ZIPF_WEIGHTS)[0],
+    )

@@ -117,6 +117,11 @@ def test_invalid_config_rejected():
         PunctConfig(rate=1.5)
     with pytest.raises(DataError):
         PunctConfig(space_prob=-0.1)
+    # The seed is formatted into a string: 1.0 and True would seed
+    # other augmentations than 1 does.
+    for seed in (1.0, True, "1"):
+        with pytest.raises(TypeError, match="seed"):
+            PunctConfig(seed=seed)
 
 
 def test_alphabet_variants_keeps_swedish_letters_in_norwegian_text():
@@ -180,6 +185,10 @@ def test_ner_swap_draws_from_category_inventory():
 def test_ner_swap_zero_annotations_is_identity():
     d = make_dataset(5)
     assert ner_swap(d, [], seed=0) == d
+    # The seed is checked as PunctConfig checks it, with or without annotations.
+    for seed in (1.0, True):
+        with pytest.raises(TypeError, match="seed"):
+            ner_swap(d, [], seed=seed)
 
 
 def test_ner_swap_deterministic():

@@ -19,6 +19,7 @@ from scandilid import features
 from scandilid import model as model_module
 from scandilid.core import Dataset, LabeledSentence, LabelSet, Language
 from scandilid.features import FeaturizerConfig, featurize, featurize_many
+from scandilid.ingest import write_dataset
 from scandilid.model import (
     MODEL_MAGIC,
     OUTPUT_ORDER,
@@ -561,7 +562,7 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit():
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    train_set, test_set = generate_corpus(1500, 300, ambiguous_fraction=0.1, seed=5)
+    train_set, test_set = generate_corpus(1500, 300, seed=5)
     valid = train_set.with_items(train_set.items[-200:])
     fit = train_set.with_items(train_set.items[:-200])
     return fit, valid, test_set
@@ -601,6 +602,39 @@ def test_shared_alphabet_corpus_differs_only_in_words():
             for word in item.text.split():
                 words.setdefault(word, set()).add(item.labels)
     assert max(map(len, words.values())) == 1
+
+
+@pytest.mark.parametrize(
+    "generate, sizes, seed, digests",
+    [
+        (generate_corpus, (1500, 300), 5, (
+            "9fd4947241b269069c9a4c87837ffa3ac97fd77ac451f693473f78b034c35789",
+            "68ec0bf53831fd49963c199721fb6e8dda6c27bbacbd62dd976217d320f7a1b0",
+        )),
+        (generate_corpus, (360, 10), 3, (
+            "5973fb7a37f44df063b5fa6e8b5838a3a5640c1bcdfc4f4117d4cbe69e8c6c49",
+            "91f4989f99330e9ed5c926e23e99cfa51c9af073de5e373dbf551da26c7253c3",
+        )),
+        (generate_shared_alphabet_corpus, (3000, 600), 1, (
+            "6974b5720ced0e845034349312d0b0e915b63ce84e26fa62ece13e6edc06d0df",
+            "c1e76b1bec7e2c2b41281915ba91d37e4f317075ac94af9adfd6c5bd042f410b",
+        )),
+        (generate_shared_alphabet_corpus, (2000, 200), 4, (
+            "86e7829c91ca50b5a9d97b2f866443cbbe4c33f7329ea4ca478755b5e8b7d263",
+            "40bd5f19136a9e9edb16b6884dcb7c0ae2e2ba0da82a68550fa1abcc8fbb5a6c",
+        )),
+    ],
+)
+def test_synthetic_corpora_are_pinned_byte_for_byte(tmp_path, generate, sizes, seed, digests):
+    # The SHA-256 of each split as `write_dataset` writes it, for the
+    # corpora the training tests use: a sampler change that moves one
+    # draw moves these.
+    got = []
+    for dataset in generate(*sizes, seed=seed):
+        path = tmp_path / f"{dataset.split}.jsonl"
+        write_dataset(dataset, path)
+        got.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(got) == digests
 
 
 def test_training_learns_languages_that_share_one_alphabet():
@@ -786,7 +820,7 @@ def test_training_aborts_on_divergence(tiny_corpus):
 
 
 def overflow_corpus():
-    items = generate_corpus(360, 10, 0.1, seed=3)[0].items
+    items = generate_corpus(360, 10, seed=3)[0].items
     return Dataset("train", items[:300]), Dataset("validation", items[300:])
 
 
@@ -828,9 +862,13 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     # Counts are exact ints, as in FeaturizerConfig: a bool is not an int.
-    for name, value in [("eval_interval", 2.5), ("epochs", True), ("batch_size", 32.0), ("patience", "3")]:
+    cases = [("eval_interval", 2.5), ("epochs", True), ("batch_size", 32.0), ("patience", "3")]
+    cases += [("seed", True), ("seed", 1.0), ("seed", 1.5)]
+    for name, value in cases:
         with pytest.raises(TypeError, match=name):
             TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError):
@@ -846,14 +884,19 @@ def probe_sentences(n=200, seed=17):
 
 
 def test_save_load_round_trip(tmp_path):
-    model = random_model(seed=11, threshold=0.4)
-    path = tmp_path / "m.slfx"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.featurizer == model.featurizer
-    assert loaded.threshold == model.threshold
-    for text in probe_sentences():
-        assert np.array_equal(forward(model, text), forward(loaded, text)), text
+    # A numpy scalar threshold is held as a Python float, which the JSON
+    # header can hold.
+    for threshold in (0.4, np.float32(0.4)):
+        model = random_model(seed=11, threshold=threshold)
+        path = tmp_path / "m.slfx"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.featurizer == model.featurizer
+        assert loaded.threshold == model.threshold == threshold
+        assert type(model.threshold) is float
+        for text in probe_sentences():
+            assert np.array_equal(forward(model, text), forward(loaded, text)), text
+            assert predict(model, text) == predict(loaded, text), text
 
 
 def test_saved_golden_model_bytes_are_pinned(tmp_path):
