@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import DataError, Dataset, LabeledSentence, LabelSet
+from .core import DataError, Dataset, LabeledSentence, LabelSet, _check_real
 from .ingest import read_jsonl, typed_field
 
 logger = logging.getLogger(__name__)
@@ -45,6 +45,8 @@ class PunctConfig:
         # string, so 1.0 and True would draw other augmentations than 1.
         if type(self.seed) is not int:
             raise TypeError(f"seed must be int, got {self.seed!r}")
+        for name in ("rate", "space_prob"):
+            _check_real(name, getattr(self, name))
         if not 0.0 <= self.rate <= 1.0:
             raise DataError(f"rate must be in [0,1], got {self.rate}")
         if not 0.0 <= self.space_prob <= 1.0:

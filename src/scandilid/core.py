@@ -8,6 +8,7 @@ valid multi-label annotation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -19,6 +20,14 @@ class DataError(ValueError):
 
 class LabelError(DataError):
     """A label or label set is malformed."""
+
+
+def _check_real(name: str, value: float) -> float:
+    """`value` as a Python float, if it is a real number and not a bool
+    (a subclass of int, so `True` would pass as 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 class Language(Enum):

@@ -51,7 +51,9 @@ The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
 `FastModel` shares no memory with an input unless the input and every
 array down its `base` chain are read-only and the chain ends at `bytes`,
-as `load_model`'s views do.
+as `load_model`'s views do. Every other input, and the float64 head, is
+cast straight into a `bytearray` seen only through a read-only
+`memoryview`, so no weight of a model can be set writeable again.
 
 `predict` decides on logits, the sigmoid being monotone: for threshold t and
 m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
@@ -70,7 +72,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -79,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
+from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language, _check_real
 from .features import FeaturizerConfig, featurize, featurize_many
 
 logger = logging.getLogger(__name__)
@@ -119,11 +120,10 @@ def _shapes(cfg: FeaturizerConfig) -> list[tuple[int, ...]]:
 
 def _check_threshold(threshold: float) -> float:
     """`threshold` as a Python float, if it is a real number, not a bool, in (0,1)."""
-    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
-        raise TypeError(f"threshold must be a real number, got {threshold!r}")
+    threshold = _check_real("threshold", threshold)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
-    return float(threshold)
+    return threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,23 +150,16 @@ class FastModel:
         for name, shape in zip(_ARRAY_NAMES, _shapes(self.featurizer)):
             # Cast before the finiteness check: a finite float64 beyond
             # the float32 range becomes inf here, and must be rejected.
-            value = getattr(self, name)
-            with np.errstate(over="ignore"):
-                arr = np.require(value, np.float32, ["C", "A", "E"])
+            arr = _frozen(getattr(self, name), np.float32)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             # min and max propagate NaN, and allocate no array as large as arr.
             if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
                 raise ValueError(f"{name} contains non-finite values")
-            if np.may_share_memory(arr, value) and not _over_bytes(arr):
-                arr = arr.copy()  # memory the caller can write: neither freeze nor share it
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "threshold", _check_threshold(self.threshold))
-        w1, w2 = (np.ascontiguousarray(w.T, np.float64).T for w in (self.w1, self.w2))
-        head = (self.embeddings, w1, self.b1.astype(np.float64), w2, self.b2.astype(np.float64))
-        for arr in head:
-            arr.flags.writeable = False
+        w1, w2 = (_frozen(w.T, np.float64).T for w in (self.w1, self.w2))
+        head = (self.embeddings, w1, _frozen(self.b1, np.float64), w2, _frozen(self.b2, np.float64))
         object.__setattr__(self, "_head", head)
         for name, q in (("_sure", 1.0 + _MARGIN), ("_unsure", 1.0 - _MARGIN)):
             q *= self.threshold  # the bound is q's logit, infinite where the clip decides
@@ -174,13 +167,19 @@ class FastModel:
             object.__setattr__(self, name, bound)
 
 
-def _over_bytes(arr: np.ndarray) -> bool:
-    """Whether every array down `arr`'s `base` chain is read-only, ending at `bytes`.
-    numpy lets the owner of other memory set `writeable` back on, and unpickles
-    an array as a writeable view of `bytes`."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        arr = arr.base
-    return isinstance(arr, bytes)
+def _frozen(value: np.ndarray, dtype: type) -> np.ndarray:
+    """`value` as an aligned C-order `dtype` array no one can write; see the
+    module docstring. numpy lets the owner of other memory set `writeable`
+    back on, and unpickles an array as a writeable view of `bytes`."""
+    arr = base = np.asarray(value)
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, bytes) and arr.dtype == dtype and arr.flags.c_contiguous and arr.flags.aligned:
+        return arr
+    buf = bytearray(arr.size * np.dtype(dtype).itemsize)
+    with np.errstate(over="ignore"):
+        np.copyto(np.frombuffer(buf, dtype).reshape(arr.shape), arr, casting="unsafe")
+    return np.frombuffer(memoryview(buf).toreadonly(), dtype).reshape(arr.shape)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
@@ -365,6 +364,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, eval_interval and patience must be positive")
         if self.seed < 0:  # np.random.default_rng refuses a negative seed
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("learning_rate", "momentum"):
+            _check_real(name, getattr(self, name))
         if not self.learning_rate >= 0:  # NaN fails this test too
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:

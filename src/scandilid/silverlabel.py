@@ -12,20 +12,23 @@ them, either as JSONL files (translation records, whose schema the
 ``ingest`` module docstring lists) or through the shell-command plug-in.
 
 The plug-in contract: the command is run through the shell and reads
-request lines ``<target-tag>\\t<source-text>\\n`` from stdin until EOF,
-then writes one ``\\n``-terminated translation line per request, in
-request order, and exits with status 0. Source texts arrive with every
-whitespace run collapsed to one space, so each request is exactly one
-line whatever characters the text holds; the comparison ignores
-whitespace, so no match is lost. A silver-labelling pass sends all of
-its requests to one process and reads its output only after writing
-them all, so a translator may buffer its output. A pass whose process
-exits non-zero, writes output that is not UTF-8, or answers with the
-wrong number of lines is split in halves and each half retried as a pass
-of its own, down to one record per process; each record that still fails
-is counted and skipped. When every request of a failed pass's first half
-fails, its second half goes one request per process, so a translator that
-fails everything costs at most N + ⌈log2 N⌉ + 1 processes for N requests,
+request lines ``<target-tag>\\t<source-text>\\n`` from stdin until EOF.
+Source texts arrive with every whitespace run collapsed to one space, so
+each request is exactly one line whatever characters the text holds; the
+comparison ignores whitespace, so no match is lost. A silver-labelling
+pass sends all of its requests to one process and reads its output only
+after writing them all, so a translator may buffer its output.
+
+The answer rule, the only one: a pass succeeds when its process exits
+with status 0 and writes UTF-8 holding one ``\\n``-terminated translation
+line per request, in request order, and nothing else. Any other answer
+(a non-zero exit, bytes that are not UTF-8, a line too many or too few,
+a missing final ``\\n``) fails the whole pass, whatever its size. A
+failed pass is split in halves and each half retried as a pass of its
+own; a failed pass of one request is a failed record, counted and
+skipped. When every request of a failed pass's first half fails, its
+second half goes one request per process, so a translator that fails
+everything costs at most N + ⌈log2 N⌉ + 1 processes for N requests,
 not 2N − 1.
 """
 
@@ -60,8 +63,14 @@ class TranslationRecord:
     translation: str
 
     def __post_init__(self) -> None:
-        if self.target == Language.OTHER:
-            raise DataError("translation target must be a language, not 'other'")
+        _check_target(self.target)
+
+
+def _check_target(target: Language) -> None:
+    if not isinstance(target, Language):
+        raise TypeError(f"translation target must be a Language, got {target!r}")
+    if target == Language.OTHER:
+        raise DataError("translation target must be a language, not 'other'")
 
 
 @dataclass
@@ -149,9 +158,9 @@ def write_translation_records(records: Iterable[TranslationRecord], path: Path |
     write_jsonl(rows, path)
 
 
-def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> str | None:
+def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> list[str] | None:
     """Write every request to one translator process, then read its stdout
-    to EOF; None if the process exited non-zero or its output is not UTF-8."""
+    to EOF: the translations, or None if they break the answer rule."""
     payload = "".join(f"{target.value}\t{' '.join(text.split())}\n" for target, text in requests)
     completed = subprocess.run(
         command, shell=True, input=payload.encode("utf-8"), capture_output=True
@@ -159,34 +168,30 @@ def _run_translator(command: str, requests: Sequence[tuple[Language, str]]) -> s
     if completed.returncode != 0:
         return None
     try:
-        return completed.stdout.decode("utf-8")
+        lines = completed.stdout.decode("utf-8").split("\n")
     except UnicodeDecodeError:
         return None
+    if lines.pop() != "" or len(lines) != len(requests):
+        return None
+    return lines
 
 
 def translate_command(command: str, target: Language, text: str) -> str | None:
-    """Run one plug-in translation in its own process; None marks the record failed.
-
-    The translation is the first ``\\n``-terminated line of the output
-    (all of it if it has no ``\\n``); see the module docstring for the
-    contract.
-    """
-    stdout = _run_translator(command, [(target, text)])
-    return None if stdout is None else stdout.split("\n", 1)[0]
+    """One plug-in translation, a pass of one request; None marks the record failed."""
+    return _translate_pass(command, [(target, text)])[0]
 
 
 def _translate_pass(command: str, requests: list[tuple[Language, str]]) -> list[str | None]:
     """One translation (or None) per request. A failed pass is split in
     halves, each retried as its own pass, so k bad requests among N cost
-    O(k log N) processes; a single request goes through translate_command.
-    A second half whose first half failed entirely goes one request per
-    process, which bounds a pass that fails everything to N + ⌈log2 N⌉ + 1."""
-    if len(requests) == 1:
-        return [translate_command(command, *requests[0])]
-    stdout = _run_translator(command, requests)
-    translations = None if stdout is None else stdout.split("\n")
-    if translations is not None and translations.pop() == "" and len(translations) == len(requests):
+    O(k log N) processes. A second half whose first half failed entirely
+    goes one request per process, which bounds a pass that fails
+    everything to N + ⌈log2 N⌉ + 1."""
+    translations = _run_translator(command, requests)
+    if translations is not None:
         return translations
+    if len(requests) == 1:
+        return [None]
     logger.debug(
         "translator command failed on a pass of %d request(s); retrying in halves", len(requests)
     )
@@ -203,12 +208,16 @@ def generate_translations(
     """Translate every eligible item into every missing target via the plug-in.
 
     Items labeled `other` and targets an item already carries are
-    skipped (the latter could only re-add an existing label). All
-    requests go to one translator process, item by item and target by
-    target within an item; if that process fails, the requests are
-    retried in halves, down to a process of their own. Returns the
-    records plus the count of requests that failed.
+    skipped (the latter could only re-add an existing label), and a
+    repeated target is asked once. Every target is checked before any
+    process starts. All requests go to one translator process, item by
+    item and target by target within an item; if that process fails, the
+    requests are retried in halves, down to a process of their own.
+    Returns the records plus the count of requests that failed.
     """
+    targets = list(dict.fromkeys(targets))
+    for target in targets:
+        _check_target(target)
     requests = [
         (index, target)
         for index, item in enumerate(dataset)

@@ -122,6 +122,10 @@ def test_invalid_config_rejected():
     for seed in (1.0, True, "1"):
         with pytest.raises(TypeError, match="seed"):
             PunctConfig(seed=seed)
+    # Rates are real numbers: True would select every sentence.
+    for name, value in (("rate", True), ("space_prob", False), ("rate", "0.1")):
+        with pytest.raises(TypeError, match=name):
+            PunctConfig(**{name: value})
 
 
 def test_alphabet_variants_keeps_swedish_letters_in_norwegian_text():

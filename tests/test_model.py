@@ -864,6 +864,8 @@ def test_train_config_validation():
     # Counts are exact ints, as in FeaturizerConfig: a bool is not an int.
     cases = [("eval_interval", 2.5), ("epochs", True), ("batch_size", 32.0), ("patience", "3")]
     cases += [("seed", True), ("seed", 1.0), ("seed", 1.5)]
+    # Real-valued fields are real numbers, and a bool is not one.
+    cases += [("learning_rate", True), ("momentum", False), ("learning_rate", "0.5")]
     for name, value in cases:
         with pytest.raises(TypeError, match=name):
             TrainConfig(**{name: value})
@@ -976,6 +978,35 @@ def test_loaded_weights_are_views_of_immutable_bytes(tmp_path):
     # One read: every array is a view of the same bytes, the whole file.
     assert all(base is bases[0] for base in bases)
     assert bases[0] == path.read_bytes()
+
+
+def test_weights_of_a_model_built_from_arrays_refuse_writeable(tiny_corpus):
+    # As load_model's views of bytes do: a weight flagged writeable again
+    # and written would leave `forward` serving the head cast from the old values.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
+    trained = train(fit, valid, cfg, tiny_train_config(epochs=1)).model
+    for kind, model in (("arrays", random_model(seed=8)), ("trained", trained)):
+        for i, arr in enumerate([getattr(model, name) for name in _ARRAY_NAMES] + list(model._head)):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
+            assert not arr.flags.writeable, (kind, i)
+
+
+def test_model_casts_float64_weights_with_one_copy():
+    # As `train`'s checkpoints do: the float32 weights are the only copy made.
+    cfg = FeaturizerConfig(bucket_count=1 << 16, embed_dim=32)
+    arrays = [np.full(shape, 0.25) for shape in _shapes(cfg)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        model = FastModel(cfg, *arrays)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert model.embeddings.dtype == np.float32 and np.all(model.embeddings == 0.25)
+    assert peak < 1.1 * sum(arr.size for arr in arrays) * 4
 
 
 def test_model_copies_unaligned_weights_to_aligned_arrays():

@@ -111,6 +111,9 @@ def test_out_of_range_index_rejected():
 def test_record_targeting_other_rejected_at_construction():
     with pytest.raises(DataError):
         TranslationRecord(0, Language.OTHER, "x")
+    # A tag is not a Language: extend_labels would fail on it later.
+    with pytest.raises(TypeError, match="target"):
+        TranslationRecord(0, "nb", "x")
 
 
 label_strategies = st.one_of(
@@ -171,6 +174,19 @@ def test_translate_command_contract():
 
 def test_translate_command_failure_returns_none():
     assert translate_command("false", Language.NB, "x") is None
+
+
+@pytest.mark.parametrize(
+    "command, translation",
+    [
+        ("printf a", None),  # no final newline
+        ("printf 'a\\nb\\n'", None),  # a line too many
+        ("printf ''", None),  # no line at all
+        ("printf '\\n'", ""),  # one empty line: the empty translation
+    ],
+)
+def test_translate_command_takes_exactly_one_line(command, translation):
+    assert translate_command(command, Language.NB, "x") == translation
 
 
 def test_generate_translations_with_identity_command():
@@ -249,6 +265,20 @@ def test_one_translator_process_per_pass(tmp_path, monkeypatch):
         (i, t) for i in range(3) for t in (Language.NB, Language.SV)
     ]
     assert all(r.translation == d[r.item_index].text for r in records)
+
+
+def test_targets_are_checked_before_any_translator_starts(tmp_path, monkeypatch):
+    starts, command = counting_command(tmp_path, monkeypatch)
+    d = make_dataset()
+    for targets, error in (([Language.OTHER], DataError), (["nb"], TypeError), ("nb", TypeError)):
+        with pytest.raises(error, match="target"):
+            generate_translations(d, targets, command)
+    assert not starts.exists()
+    # A repeated target is asked once.
+    assert generate_translations(d, [Language.NB, Language.NB], command) == generate_translations(
+        d, [Language.NB], command
+    )
+    assert starts.read_text().count("\n") == 2
 
 
 def test_empty_pass_starts_no_translator(tmp_path, monkeypatch):
@@ -351,6 +381,28 @@ def test_every_request_failing_costs_linear_spawns(tmp_path, monkeypatch):
     # The pass of 20 and its first halves of 10, 5, 2 and 1 all fail; each
     # second half then goes one request per process: 1 + 3 + 5 + 10.
     # Halving all the way down would take 2 * 20 - 1 = 39.
+    assert starts.read_text().count("\n") == 5 + (n - 1)
+
+
+@pytest.mark.parametrize(
+    "translator",
+    [
+        "cut -f2- | sed p",  # every line twice
+        "cut -f2- | tr -d '\\n'",  # no newline at all
+        "cut -f2-; echo extra",  # a line too many
+        "printf ''",  # no output at all
+    ],
+)
+def test_malformed_translator_fails_every_record(tmp_path, monkeypatch, translator):
+    starts, command = counting_command(tmp_path, monkeypatch, translator)
+    n = 16
+    d = Dataset("train", tuple(LabeledSentence(f"Jeg har plan {i}.", LabelSet.of("da")) for i in range(n)))
+    # A pass of one request reads its answer by the same rule as a pass of
+    # many, so no record is accepted from output a larger pass refused.
+    assert generate_translations(d, [Language.NB], command) == ([], n)
+    # As for a translator that exits non-zero: the pass of 16 and its first
+    # halves of 8, 4, 2 and 1 fail, then each second half goes one request
+    # per process: 5 + 15 = 20, within N + ⌈log2 N⌉ + 1 = 21.
     assert starts.read_text().count("\n") == 5 + (n - 1)
 
 
