@@ -18,7 +18,9 @@ its update about batch-size-fold, and languages that share one alphabet
 and differ only in their words would not separate.
 Weights are stored as float32; training and loss accumulation run in
 float64, and `gradient_check` in `tests/test_model.py` verifies the
-analytic gradients against central differences.
+analytic gradients against central differences. `train` casts each better
+evaluation's weights into one set of float32 arrays, made at the first,
+then drops the float64 ones and copies these into the `FastModel`.
 The embedding gradient is sparse: each gram of a sentence gets the
 sentence's pooled gradient divided by its length, so `_backprop` returns
 one such row per sentence, with the batch's gram ids and sentence lengths,
@@ -29,20 +31,21 @@ Within a column the grams keep their batch order, so each table element
 takes its additions in the order of a 2-D `np.add.at` of one row per
 gram, and every bit is the same.
 
-Serving, the training loss, backprop, validation and the gradient
-check share one forward path: `_pool` averages a sentence's embedding
-rows and `_layers` applies the head to one pooled vector or a batch of
-them. `_pool` gathers the rows with `take`, casts them to float64 and
-sums them as ``ones @ rows``, one BLAS `dgemv` call that streams every
-row, where a reduction along axis 0 runs one inner loop of `embed_dim`
-elements per row. The kernel picks its summation order, so on training's
-float64 table the sums, and so trained bits, depend on the BLAS build, as
-`_layers`' matmuls already make them do. A served float32 table's rows
-sum exactly in float64, in any order, while every partial sum stays below
-2^29 times the smallest nonzero magnitude among them. `take` has a slow
-path for float32 rows that do not start on a 4-byte boundary, so
-`FastModel` holds only aligned arrays, and `save_model` pads the file's
-header so that its arrays start on one.
+Serving, the training loss, backprop, validation and the gradient check
+share one forward path: `_pool` averages a sentence's embedding rows,
+`_pool_all` a batch's, and `_layers` applies the head to one pooled vector
+or a batch of them. Both gather rows with `take` and sum them in float64
+as ``ones @ rows``, one BLAS `dgemv` call that streams every row, where a
+reduction along axis 0 runs one inner loop of `embed_dim` elements per
+row. `_pool_all` sums in one loop, with no call, cast or division per
+sentence, and divides the batch by its lengths once: `_pool`'s bits. The
+kernel picks its summation order, so on training's float64 table the sums,
+and so trained bits, depend on the BLAS build, as `_layers`' matmuls
+already make them do. A served float32 table's rows sum exactly in
+float64, in any order, while every partial sum stays below 2^29 times the
+smallest nonzero magnitude among them. `take` has a slow path for float32
+rows off a 4-byte boundary, so `FastModel` holds only aligned arrays, and
+`save_model` pads the file's header so that its arrays start on one.
 `FastModel` holds a float64 copy of the head for serving, cast once and
 not on every call, each matrix in the layout numpy casts a float32 one to
 inside a mixed matmul (a contiguous transpose), so the bits are the same;
@@ -153,8 +156,7 @@ class FastModel:
             arr = _frozen(getattr(self, name), np.float32)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            # min and max propagate NaN, and allocate no array as large as arr.
-            if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            if not _finite(arr):
                 raise ValueError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "threshold", _check_threshold(self.threshold))
@@ -165,6 +167,11 @@ class FastModel:
             q *= self.threshold  # the bound is q's logit, infinite where the clip decides
             bound = -math.inf if q <= _CLIP[0] else math.inf if q >= _CLIP[1] else math.log(q) - math.log1p(-q)
             object.__setattr__(self, name, bound)
+
+
+def _finite(arr: np.ndarray) -> bool:
+    # min and max propagate NaN, and allocate no array as large as arr.
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def _frozen(value: np.ndarray, dtype: type) -> np.ndarray:
@@ -220,10 +227,12 @@ def _pool(emb: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
-    """One pooled row per sentence, in order, pooled into one array."""
+    """`_pool` of each sentence, one row each, bit for bit; see the module docstring."""
     out = np.empty((len(feats), emb.shape[1]), dtype=np.float64)
-    for ids, row in zip(feats, out):
-        _pool(emb, ids, row)
+    lengths = [ids.size for ids in feats]
+    for ids, n, row in zip(feats, lengths, out):
+        np.matmul(_ONES[:n] if n <= _ONES.size else np.ones(n), emb.take(ids, axis=0), out=row)
+    out /= np.maximum(lengths, 1)[:, None]
     return out
 
 
@@ -401,13 +410,16 @@ def _validation_metric(
     return float(np.all(accept == (y == 1.0), axis=1).mean())
 
 
-def _checkpoint(fcfg: FeaturizerConfig, params: list[np.ndarray], threshold: float, step: int) -> FastModel:
-    """The float32 model of ``params``. Weights that are finite in float64
-    but beyond the float32 range fail FastModel's check: a divergence."""
-    try:
-        return FastModel(fcfg, *params, threshold=threshold)
-    except ValueError as e:
-        raise TrainingError(f"weights beyond the float32 range at step {step} ({e}); lower the learning rate") from e
+@np.errstate(over="ignore")
+def _checkpoint(params: list[np.ndarray], best: list[np.ndarray] | None, step: int) -> list[np.ndarray]:
+    """``params`` cast into the float32 arrays ``best``, allocated when None. A weight
+    finite in float64 but beyond the float32 range fails FastModel's check: a divergence."""
+    best = best or [np.empty(a.shape, np.float32) for a in params]
+    for name, a, b in zip(_ARRAY_NAMES, params, best):
+        np.copyto(b, a, casting="unsafe")
+        if not _finite(b):
+            raise TrainingError(f"weights beyond the float32 range at step {step} ({name}); lower the learning rate")
+    return best
 
 
 def train(
@@ -448,7 +460,7 @@ def train(
     starts = range(0, n, tcfg.batch_size)
     last_step = tcfg.epochs * len(starts)
     history: list[EvalPoint] = []
-    best_model: FastModel | None = None  # None until the first evaluation
+    best: list[np.ndarray] | None = None  # float32 parameters; None until the first evaluation
     best_metric, best_step = float("nan"), last_step  # kept if nothing is evaluated
     evals_without_improvement = 0
     losses: list[float] = []  # one per step
@@ -480,13 +492,10 @@ def train(
             metric = _validation_metric(params, vfeats, vy, threshold)
             train_loss = float(np.mean(losses[history[-1].step if history else 0 :]))
             history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
-            if best_model is None or metric > best_metric:
+            if best is None or metric > best_metric:
                 best_metric = metric
                 best_step = step
-                # The checkpoint is a float32 model; drop the old one first so
-                # at most one checkpoint is alive beside the live parameters.
-                best_model = None
-                best_model = _checkpoint(fcfg, params, threshold, step)
+                best = _checkpoint(params, best, step)
                 evals_without_improvement = 0
             else:
                 evals_without_improvement += 1
@@ -496,11 +505,11 @@ def train(
 
     # An epoch cut short by an early stop counts with the steps it ran.
     epoch_losses = [float(np.mean(losses[i : i + len(starts)])) for i in range(0, len(losses), len(starts))]
-    if best_model is None:  # no validation set
-        best_model = _checkpoint(fcfg, params, threshold, len(losses))
-
+    if best is None:  # no validation set
+        best = _checkpoint(params, None, len(losses))
+    del params, emb  # before the model copies `best`, so memory peaks no higher than in the loop
     return TrainResult(
-        model=best_model,
+        model=FastModel(fcfg, *best, threshold=threshold),
         history=history,
         initial_loss=initial_loss,
         epoch_losses=epoch_losses,
@@ -525,12 +534,13 @@ def save_model(model: FastModel, path: Path | str) -> None:
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
     header_bytes += b" " * (-(_FILE_START.size + len(header_bytes)) % 4)
-    buf = bytearray(_FILE_START.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)))
-    buf += header_bytes
-    for name in _ARRAY_NAMES:
-        buf += memoryview(np.ascontiguousarray(getattr(model, name), dtype="<f4")).cast("B")
-    buf += struct.pack("<I", zlib.crc32(buf) & 0xFFFFFFFF)
-    Path(path).write_bytes(buf)
+    arrays = (memoryview(np.ascontiguousarray(getattr(model, name), dtype="<f4")).cast("B") for name in _ARRAY_NAMES)
+    crc = 0  # of every part written, the arrays read where they lie
+    with Path(path).open("wb") as f:
+        for part in (_FILE_START.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)), header_bytes, *arrays):
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_model(path: Path | str) -> FastModel:

@@ -63,6 +63,9 @@ class TranslationRecord:
     translation: str
 
     def __post_init__(self) -> None:
+        # An exact int, as seeds are: bool is a subclass of int, and True indexes item 1.
+        if type(self.item_index) is not int:
+            raise TypeError(f"item_index must be int, got {self.item_index!r}")
         _check_target(self.target)
 
 

@@ -434,6 +434,22 @@ def test_pool_handles_every_length(dtype, dim):
             assert np.all(np.abs(out - rows.mean(axis=0)) <= sum_bound(rows))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_pool_all_rows_are_pool_rows_bit_for_bit(dtype, dim):
+    # `_pool_all` sums each sentence in one loop and divides the batch
+    # once; every row keeps the bits of that sentence's `_pool`: with no
+    # grams, more grams than the ones vector holds, and in a batch of one.
+    rng = np.random.default_rng(dim)
+    emb = rng.normal(0, 1, size=(8192, dim)).astype(dtype)
+    lengths = [0, 1, 7, model_module._ONES.size + 1, 57, 0, 300]
+    feats = [rng.integers(0, 8192, size=n) for n in lengths]
+    for batch in (feats, feats[:1], feats[1:2], feats[3:4]):
+        got = _pool_all(emb, batch)
+        assert got.dtype == np.float64 and got.shape == (len(batch), dim)
+        assert got.tobytes() == b"".join(_pool(emb, ids).tobytes() for ids in batch)
+
+
 def test_pool_repeats_its_bits():
     # The same sentence pooled again, and from four threads at once,
     # from one row of width 1 to past n * dim = 9216, where OpenBLAS
@@ -991,6 +1007,32 @@ def test_weights_of_a_model_built_from_arrays_refuse_writeable(tiny_corpus):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 arr.flags.writeable = True
             assert not arr.flags.writeable, (kind, i)
+
+
+def test_training_casts_every_checkpoint_into_one_set_of_float32_arrays(tiny_corpus, monkeypatch):
+    # The float32 arrays are made at the first evaluation and reused at
+    # every better one; the model copies them after the loop, so its
+    # weights share no memory with them and cannot be made writeable.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
+    checkpoint, returned = model_module._checkpoint, []
+
+    def recording(params, best, step):
+        best = checkpoint(params, best, step)
+        returned.append(list(best))
+        return best
+
+    monkeypatch.setattr(model_module, "_checkpoint", recording)
+    result = train(fit, valid, cfg, tiny_train_config())
+    assert len(returned) >= 2
+    first = returned[0]
+    assert all(a is b for arrays in returned for a, b in zip(arrays, first, strict=True))
+    for name, arr in zip(_ARRAY_NAMES, first):
+        weight = getattr(result.model, name)
+        assert arr.dtype == np.float32 and weight.tobytes() == arr.tobytes()
+        assert not np.shares_memory(weight, arr)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            weight.flags.writeable = True
 
 
 def test_model_casts_float64_weights_with_one_copy():

@@ -116,6 +116,15 @@ def test_record_targeting_other_rejected_at_construction():
         TranslationRecord(0, "nb", "x")
 
 
+def test_record_index_must_be_an_exact_int():
+    # True would label item 1 (dataset[True] is dataset[1]), and 1.0 would
+    # fail later, inside extend_labels, on a bare tuple-index TypeError.
+    for index in (True, 1.0, "1"):
+        with pytest.raises(TypeError, match="item_index must be int"):
+            TranslationRecord(index, Language.NB, "x")
+    assert TranslationRecord(1, Language.NB, "x").item_index == 1
+
+
 label_strategies = st.one_of(
     st.just(LabelSet.of("other")),
     st.sets(st.sampled_from(["da", "nb", "nn", "sv"]), min_size=1, max_size=4).map(
