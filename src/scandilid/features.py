@@ -157,7 +157,7 @@ def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     cache, order = entry
     # Each token's ids are read once, here, and fresh ids are used as
     # hashed: another thread, or this insertion, may evict them.
-    parts = [cache.get(token) for token in tokens]
+    parts = list(map(cache.get, tokens))
     if None in parts:
         missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
         fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
@@ -174,8 +174,15 @@ def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     return parts
 
 
+def _ids(text: str, cfg: FeaturizerConfig) -> np.ndarray:
+    """`featurize`'s ids as they are cached: a read-only int32 view of the
+    joined bytes, with no cast. `take` accepts int32 indices, so serving
+    pools these directly."""
+    return np.frombuffer(b"".join(_token_ids(text.split(), cfg)), np.int32)
+
+
 def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
-    """Bucket ids (with multiplicity) for all grams of `text`.
+    """Bucket ids (with multiplicity) for all grams of `text`, as int64.
 
     The text is split on whitespace; it is expected to be already
     normalized/lowercased by the pipeline. Empty text gives an empty
@@ -183,7 +190,7 @@ def featurize(text: str, cfg: FeaturizerConfig) -> np.ndarray:
     because bucket_count is a power of two. Safe to call from several
     threads.
     """
-    return np.frombuffer(b"".join(_token_ids(text.split(), cfg)), np.int32).astype(np.int64)
+    return _ids(text, cfg).astype(np.int64)
 
 
 # Texts whose uncached tokens `featurize_many` hashes in one pass.

@@ -37,11 +37,13 @@ share one forward path: `_pool` averages a sentence's embedding rows,
 or a batch of them. Both gather rows with `take` and sum them in float64
 as ``ones @ rows``, one BLAS `dgemv` call that streams every row, where a
 reduction along axis 0 runs one inner loop of `embed_dim` elements per
-row. `_pool_all` sums in one loop, with no call, cast or division per
-sentence, and divides the batch by its lengths once: `_pool`'s bits. The
-kernel picks its summation order, so on training's float64 table the sums,
-and so trained bits, depend on the BLAS build, as `_layers`' matmuls
-already make them do. A served float32 table's rows sum exactly in
+row; `_pool` calls it by `np.dot`, without `matmul`'s dispatch, and
+`forward` and `predict` pass it the cached int32 ids (`features._ids`),
+which `take` accepts, with no int64 copy. `_pool_all` sums in one loop,
+with no call, cast or division per sentence, and divides the batch by its
+lengths once: `_pool`'s bits. The kernel picks its summation order, so
+on training's float64 table the sums, and so trained bits, depend on the
+BLAS build, as `_layers`' matmuls already make them do. A served float32 table's rows sum exactly in
 float64, in any order, while every partial sum stays below 2^29 times the
 smallest nonzero magnitude among them. `take` has a slow path for float32
 rows off a 4-byte boundary, so `FastModel` holds only aligned arrays, and
@@ -52,11 +54,11 @@ inside a mixed matmul (a contiguous transpose), so the bits are the same;
 a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
-`FastModel` shares no memory with an input unless the input and every
-array down its `base` chain are read-only and the chain ends at `bytes`,
-as `load_model`'s views do. Every other input, and the float64 head, is
-cast straight into a `bytearray` seen only through a read-only
-`memoryview`, so no weight of a model can be set writeable again.
+`FastModel` shares memory with no input but the aligned views of a file's
+`bytes` that `load_model` makes and marks as its own (`_FileView`). Every
+other input, whatever its flags or base, and the float64 head, is cast
+straight into a `bytearray` seen only through a read-only `memoryview`, so
+no weight of a model can be set writeable again or changed through a view.
 
 `predict` decides on logits, the sigmoid being monotone: for threshold t and
 m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
@@ -79,12 +81,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language, _check_real
-from .features import FeaturizerConfig, featurize, featurize_many
+from .features import FeaturizerConfig, _ids, featurize_many
 
 logger = logging.getLogger(__name__)
 
@@ -174,14 +176,15 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def _frozen(value: np.ndarray, dtype: type) -> np.ndarray:
-    """`value` as an aligned C-order `dtype` array no one can write; see the
-    module docstring. numpy lets the owner of other memory set `writeable`
-    back on, and unpickles an array as a writeable view of `bytes`."""
-    arr = base = np.asarray(value)
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if isinstance(base, bytes) and arr.dtype == dtype and arr.flags.c_contiguous and arr.flags.aligned:
+class _FileView(NamedTuple):  # a `load_model` view of a file's bytes: the one input held as it is
+    array: np.ndarray
+
+
+def _frozen(value: np.ndarray | _FileView, dtype: type) -> np.ndarray:
+    """`value` as an aligned C-order `dtype` array no one can write: an aligned
+    `_FileView`'s own array, else a cast copy; see the module docstring."""
+    arr = np.asarray(value.array if isinstance(value, _FileView) else value)
+    if isinstance(value, _FileView) and arr.dtype == dtype and arr.flags.aligned:
         return arr
     buf = bytearray(arr.size * np.dtype(dtype).itemsize)
     with np.errstate(over="ignore"):
@@ -215,13 +218,13 @@ _ONES = np.ones(4096)  # `_pool`'s summing vector, sliced; a longer sentence get
 _ONES.flags.writeable = False
 
 
-def _pool(emb: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Mean of the embedding rows of one sentence's grams, in float64,
-    written to `out` when given; zeros for no grams. The rows are summed
-    as ``ones @ rows``, one BLAS matrix-vector product."""
+def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mean of the embedding rows of one sentence's grams, in float64;
+    zeros for no grams. The rows are summed as ``np.dot(ones, rows)``, one
+    BLAS matrix-vector product."""
     n = ids.size
     ones = _ONES[:n] if n <= _ONES.size else np.ones(n)
-    total = np.matmul(ones, emb.take(ids, axis=0).astype(np.float64, copy=False), out=out)
+    total = np.dot(ones, emb.take(ids, axis=0).astype(np.float64, copy=False))
     total /= max(n, 1)
     return total
 
@@ -259,16 +262,17 @@ def _decode(accept_row: np.ndarray) -> LabelSet:
 
 def forward(model: FastModel, text: str) -> np.ndarray:
     """Probabilities for (da, nb, nn, sv); empty text uses the zero embedding."""
-    e = _pool(model.embeddings, featurize(text, model.featurizer))
+    e = _pool(model.embeddings, _ids(text, model.featurizer))
     return _probabilities(_layers(model._head, e)[2])
 
 
 def predict(model: FastModel, text: str) -> LabelSet:
     """Languages whose probability reaches the threshold; `other` if none do."""
-    z = _layers(model._head, _pool(model.embeddings, featurize(text, model.featurizer)))[2]
-    logits, sure, unsure = z.tolist(), model._sure, model._unsure
-    if not any(unsure < v < sure for v in logits):
-        return _LABEL_SETS[tuple(v >= sure for v in logits)]
+    z = _layers(model._head, _pool(model.embeddings, _ids(text, model.featurizer)))[2]
+    logits = z.tolist()
+    accept = tuple(map(model._sure.__le__, logits))
+    if accept == tuple(map(model._unsure.__lt__, logits)):  # no logit strictly between the bounds
+        return _LABEL_SETS[accept]
     return _decode(_probabilities(z) >= model.threshold)
 
 
@@ -546,9 +550,9 @@ def save_model(model: FastModel, path: Path | str) -> None:
 def load_model(path: Path | str) -> FastModel:
     """Read a model file; forward outputs are bit-identical to the saved
     model. The file is read once, into `bytes`, and the arrays are views
-    of them, which `FastModel` holds as they are. `save_model` starts the
-    arrays on a 4-byte boundary, where `take` in `_pool` is many times
-    faster; `FastModel` copies those of an unpadded file to aligned ones."""
+    of them, which `FastModel` holds as they are, passed as `_FileView`s.
+    `save_model` starts them on a 4-byte boundary, where `take` in `_pool`
+    is many times faster; `FastModel` copies those of an unpadded file."""
     data = Path(path).read_bytes()
     if len(data) < _FILE_START.size + 4:
         raise ModelFormatError(f"{path}: file too short to be a model ({len(data)} bytes)")
@@ -594,6 +598,6 @@ def load_model(path: Path | str) -> FastModel:
     flat = np.frombuffer(data, dtype="<f4", count=sum(counts), offset=header_end)
     arrays = [part.reshape(s) for part, s in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
     try:
-        return FastModel(fcfg, *arrays, threshold=threshold)
+        return FastModel(fcfg, *map(_FileView, arrays), threshold=threshold)
     except ValueError as e:
         raise ModelFormatError(f"{path}: bad model: {e}") from None

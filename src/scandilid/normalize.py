@@ -35,12 +35,15 @@ Pattern definitions:
 * Placeholders are lowercase and contain no digits, ``@`` or scheme
   prefix, so no pattern re-matches them.
 
-Most sentences hold nothing to replace, so after lowercasing one scan
-for a digit, ``@``, ``http://``, ``https://`` or ``www.`` decides
-whether the three patterns run at all. Every match of a pattern
-contains one of these, and the scan is case-insensitive as the URL
-pattern is: under that flag ``s`` also matches ``ſ`` (U+017F), so
-``httpſ://x`` is a URL.
+Most sentences hold nothing to replace, so after lowercasing three
+substring tests, for ``@``, ``://`` and ``www.``, and one search for a
+digit decide whether the three patterns run at all. Every mail match
+contains ``@`` and every number a digit. Every URL match contains
+``://`` or ``www.``: the URL pattern is case-insensitive, but the text
+is already lowercased, and no character lowercasing leaves, other than
+``w`` itself, matches ``w`` under the flag. Only its scheme letters vary,
+``s`` also matching ``ſ`` (U+017F), and ``httpſ://x``, a URL, holds
+``://`` all the same.
 """
 
 from __future__ import annotations
@@ -54,15 +57,14 @@ NUM_PLACEHOLDER = "⟨num⟩"
 _URL_RE = re.compile(r"(?<![\w.])(?:https?://|www\.)\S+", re.IGNORECASE)
 _MAIL_RE = re.compile(r"(?<![\w.⟩])[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
 _NUM_RE = re.compile(r"(?<![\w-])[+-]?\d+(?:[ .,]\d+)*(?![\w-])")
-# Found in every match of the three patterns above.
-_ANY_RE = re.compile(r"\d|@|https?://|www\.", re.IGNORECASE)
+_DIGIT_RE = re.compile(r"\d")
 
 
 def normalize_text(text: str) -> str:
     """Lowercase, then replace URLs, email addresses and numbers with
     atomic placeholders. Idempotent."""
     text = text.lower()
-    if not _ANY_RE.search(text):
+    if "@" not in text and "://" not in text and "www." not in text and not _DIGIT_RE.search(text):
         return text
     text = _URL_RE.sub(URL_PLACEHOLDER, text)
     text = _MAIL_RE.sub(MAIL_PLACEHOLDER, text)

@@ -216,6 +216,16 @@ def test_mutating_a_result_leaves_later_results_unchanged(small_cache):
     assert featurize("hej hej med dig", cfg).tolist() == expected
 
 
+def test_serving_ids_are_featurize_as_a_read_only_int32_view(small_cache):
+    # forward and predict pool these as they are; featurize casts them to int64.
+    cfg = FeaturizerConfig()
+    for text in ("", "hej hej med dig", "hej"):
+        ids = features._ids(text, cfg)
+        assert ids.dtype == np.int32 and not ids.flags.writeable
+        assert featurize(text, cfg).dtype == np.int64
+        assert ids.tolist() == featurize(text, cfg).tolist() == oracle_ids(text, cfg)
+
+
 def test_featurize_many_matches_featurize_and_oracle(small_cache):
     # Three chunks of texts; each chunk holds over 100 distinct tokens, so
     # the 64-token cache evicts inside it. Empty texts and repeated tokens

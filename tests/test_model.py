@@ -214,6 +214,9 @@ def test_predict_decides_on_logits_as_on_clipped_probabilities(monkeypatch):
         model = logits_model([0.5] * 4, threshold=threshold)
         grid = logits_near(math.log(threshold) - math.log1p(-threshold))
         grid += logits_near(clip_logit) + logits_near(-clip_logit)
+        # The bounds themselves, where predict's two comparisons part.
+        bounds = [b for b in (model._sure, model._unsure) if math.isfinite(b)]
+        grid += [float(x) for b in bounds for x in (np.nextafter(b, -math.inf), b, np.nextafter(b, math.inf))]
         grid += grid[: -len(grid) % 4]  # whole rows of four
         for row in np.reshape(grid, (-1, 4)):
             logits[:] = row.tolist()
@@ -415,16 +418,17 @@ def test_pool_is_mean_bit_for_bit(dtype, dim):
 @pytest.mark.parametrize("dim", [1, 8, 32, 322])
 def test_pool_handles_every_length(dtype, dim):
     # No grams, one gram, and sentences either side of the length of
-    # the ones vector that `_pool` slices, each written to `out`.
+    # the ones vector that `_pool` slices.
     rng = np.random.default_rng(dim)
     emb = rng.normal(0, 1, size=(8192, dim)).astype(dtype)
     size = model_module._ONES.size
     for length in (0, 1, size - 1, size, size + 1):
         ids = rng.integers(0, 8192, size=length)
         rows = emb[ids].astype(np.float64)
-        out = np.full(dim, np.nan)
-        assert _pool(emb, ids, out) is out
-        assert out.tobytes() == _pool(emb, ids).tobytes()
+        out = _pool(emb, ids)
+        assert out.dtype == np.float64 and out.shape == (dim,)
+        # Serving passes the cached int32 ids as they are; `take` gives the same rows.
+        assert _pool(emb, ids.astype(np.int32)).tobytes() == out.tobytes()
         if length == 0:
             assert out.tobytes() == np.zeros(dim).tobytes()
         elif length == 1:
@@ -701,17 +705,39 @@ def test_forward_and_predict_match_golden_fixture():
         assert tags(predict(model, text)) == labels, text
 
 
+def kernel_rtol(texts, fcfg, tcfg):
+    """How far, relative, the float64 training losses of two BLAS kernels
+    may lie apart. A kernel picks the order of each BLAS sum, and a sum of
+    K terms in any order lies within gamma_K = K u / (1 - K u) of the sum
+    of their magnitudes from the exact one (Higham, (4.4), as `sum_bound`),
+    so two orders within 2 gamma_K. K is the longest sum of a step: one
+    sentence's pool, or an inner dimension of `_layers`' and `_backprop`'s
+    matmuls. A loss is a mean of positive terms, so the bound is taken
+    relative to it. It bounds one step's reordering; a run carries each
+    step's rounding on in its weights, which this test checks stays small."""
+    longest = max(ids.size for ids in featurize_many(texts, fcfg))
+    k, u = max(longest, model_module.HIDDEN_SIZE, fcfg.embed_dim, tcfg.batch_size), 2.0**-53
+    return 2.0 * k * u / (1.0 - k * u)
+
+
 def test_training_matches_golden_fixture(tiny_corpus):
-    # Pins one fixed-seed training run: losses, metrics, the selected
-    # step and the trained model's test-set label sets, all exactly.
+    # Pins one fixed-seed training run. Exactly: the selected step and
+    # metric, the initial loss, each evaluation's step, epoch and metric,
+    # and the trained model's test-set label sets. The training losses
+    # within `kernel_rtol`: their last bits follow the BLAS kernel's
+    # summation order, which OpenBLAS picks from the CPU.
     spec = GOLDEN["train"]
     fit, valid, test_set = tiny_corpus
-    result = train(fit, valid, FeaturizerConfig(**spec["featurizer"]), TrainConfig(**spec["train_config"]))
+    fcfg, tcfg = FeaturizerConfig(**spec["featurizer"]), TrainConfig(**spec["train_config"])
+    result = train(fit, valid, fcfg, tcfg)
     assert result.best_step == spec["best_step"]
     assert result.best_metric == spec["best_metric"]
     assert result.initial_loss == spec["initial_loss"]
-    assert result.epoch_losses == spec["epoch_losses"]
-    assert [[p.step, p.epoch, p.train_loss, p.metric] for p in result.history] == spec["history"]
+    history = [[p.step, p.epoch, p.train_loss, p.metric] for p in result.history]
+    assert [[s, e, m] for s, e, _, m in history] == [[s, e, m] for s, e, _, m in spec["history"]]
+    rtol = kernel_rtol([item.text for item in fit], fcfg, tcfg)
+    np.testing.assert_allclose(result.epoch_losses, spec["epoch_losses"], rtol=rtol, atol=0)
+    np.testing.assert_allclose([h[2] for h in history], [h[2] for h in spec["history"]], rtol=rtol, atol=0)
     assert [tags(predict(result.model, item.text)) for item in test_set] == spec["test_labels"]
 
 
@@ -1074,13 +1100,15 @@ def test_model_neither_freezes_nor_shares_the_callers_arrays(tmp_path):
         arr += 1.0
     for text, p in zip(texts, before):
         assert forward(own, text).tobytes() == p.tobytes(), text
-    # A load_model view, over bytes no one can write, is held as it is.
+    # A loaded model's arrays, views of bytes no one can write, are copied
+    # when passed back in: only load_model's own construction holds them.
     path = tmp_path / "m.slfx"
     save_model(model, path)
     loaded = load_model(path)
     held = FastModel(model.featurizer, *(getattr(loaded, name) for name in _ARRAY_NAMES))
     for name in _ARRAY_NAMES:
-        assert getattr(held, name) is getattr(loaded, name), name
+        arr, view = getattr(held, name), getattr(loaded, name)
+        assert not np.shares_memory(arr, view) and arr.tobytes() == view.tobytes(), name
 
 
 def test_model_copies_a_read_only_view_of_memory_the_caller_can_write():
@@ -1111,11 +1139,30 @@ def test_model_copies_a_read_only_view_of_memory_the_caller_can_write():
             assert not np.shares_memory(getattr(held, name), arr), (kind, name)
         for text, p in zip(texts, before):
             assert forward(held, text).tobytes() == p.tobytes(), (kind, text)
-    # Memory no one can write, such as bytes, is held as it is.
+    # A view of bytes is copied too: by its flags and base it is not told
+    # apart from an unpickled array that a caller's earlier view can write.
     frozen = np.frombuffer(model.embeddings.tobytes(), np.float32).reshape(model.embeddings.shape)
     assert frozen.flags.aligned
     arrays[0] = frozen
-    assert FastModel(model.featurizer, *arrays).embeddings is frozen
+    held = FastModel(model.featurizer, *arrays).embeddings
+    assert not np.shares_memory(held, frozen) and held.tobytes() == frozen.tobytes()
+
+
+def test_model_copies_an_unpickled_array_a_view_can_still_write():
+    # An unpickled array is a writeable view of `bytes`. A view taken of it
+    # before it is flagged read-only still writes it, so the model must
+    # copy it, or `w1` would change under a head cast from its old values.
+    model = random_model(seed=4)
+    texts = probe_sentences(20)
+    before = [forward(model, text) for text in texts]
+    w1 = pickle.loads(pickle.dumps(model.w1, protocol=4))
+    view = w1[...]
+    w1.flags.writeable = False
+    held = FastModel(model.featurizer, model.embeddings, w1, model.b1, model.w2, model.b2, threshold=model.threshold)
+    view += 1.0
+    assert held.w1.tobytes() == model.w1.tobytes()
+    for text, p in zip(texts, before):
+        assert forward(held, text).tobytes() == p.tobytes(), text
 
 
 def test_load_rejects_truncated_file(tmp_path):
