@@ -125,6 +125,10 @@ class EntityAnnotation:
     surface: str
 
     def __post_init__(self) -> None:
+        for name in ("sentence_index", "start", "end"):
+            value = getattr(self, name)
+            if type(value) is not int:  # as TranslationRecord.item_index
+                raise TypeError(f"{name} must be int, got {value!r}")
         if self.category not in ENTITY_CATEGORIES:
             raise DataError(
                 f"unknown entity category {self.category!r} (expected one of {ENTITY_CATEGORIES})"

@@ -126,6 +126,10 @@ class LabeledSentence:
     source: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"sentence text must be str, got {self.text!r}")
+        if not isinstance(self.labels, LabelSet):
+            raise TypeError(f"labels must be a LabelSet, got {self.labels!r}")
         if not self.text.strip():
             raise DataError("sentence text must be non-empty after trimming whitespace")
 

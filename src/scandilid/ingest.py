@@ -229,6 +229,14 @@ def compose_training_set(
     bit-for-bit). Sampled items keep their original positions.
     Duplicate texts survive unless ``dedupe`` is set.
     """
+    # Exact ints, as every seed is checked: True would draw seed 1's sample.
+    if type(seed) is not int:
+        raise TypeError(f"seed must be int, got {seed!r}")
+    if other_sample_size is not None:
+        if type(other_sample_size) is not int:
+            raise TypeError(f"other_sample_size must be int or None, got {other_sample_size!r}")
+        if other_sample_size < 0:
+            raise ValueError(f"other_sample_size must be >= 0, got {other_sample_size}")
     extracted = [_extract_source(s) for s in sources]
     items: list[LabeledSentence] = [item for chunk in extracted for item in chunk]
 

@@ -1,37 +1,29 @@
-"""Synthetic corpora whose difficulty is known by construction.
-
-Both generators draw every sentence through one sampler, `_sample`,
-and differ only in their word source, a function from a label to a word:
-
-`generate_corpus`: three artificial languages use pairwise disjoint
-character sets, so a classifier that reads character n-grams can in
-principle reach perfect accuracy. A word is 2-7 random letters of its
-label's alphabet, so a mixed sentence mixes two alphabets.
+"""A synthetic corpus whose difficulty is known by construction.
 
 `generate_shared_alphabet_corpus`: da, nb, nn, sv and `other` share one
 alphabet and differ only in their words, as the Scandinavian languages
 do. Each draws words from a vocabulary of its own by Zipf rank, and
 only the Scandinavian languages mix. Letters alone separate nothing
 here, so a model must learn the languages from their words.
+
+Every sentence is drawn through one sampler, `_sample`, from a word
+source: a function from a label to a word.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language
 
-ALPHABETS: dict[str, str] = {
-    "da": "abcdefg",
-    "nb": "hijklmn",
-    "nn": "opqrstu",
-}
-
-_TAGS = tuple(map(Language, ALPHABETS))
-_PAIRS = tuple(itertools.combinations(_TAGS, 2))
+SHARED_ALPHABET = "abcdefghijklmnopqrstuvwxyzæøåäö"
+_SHARED_TAGS = (*SCANDINAVIAN, Language.OTHER)
+_SHARED_PAIRS = tuple(itertools.combinations(SCANDINAVIAN, 2))
 _MIXED_FRACTION = 0.10
+_VOCABULARY_SIZE = 500
+_ZIPF_WEIGHTS = list(itertools.accumulate(rank**-1.07 for rank in range(1, _VOCABULARY_SIZE + 1)))
 
 
 def _word(rng: random.Random, alphabet: str) -> str:
@@ -42,41 +34,26 @@ def _sample(
     rng: random.Random,
     n_train: int,
     n_test: int,
-    tags: Sequence[Language],
-    pairs: Sequence[tuple[Language, Language]],
     word: Callable[[Language], str],
 ) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) pair; test items are freshly drawn.
-    A pure sentence has 3-9 words of one of `tags`, drawn with equal
-    odds; a mixed one (one in ten) has 3-9 words of one of `pairs`, at
-    least one of each, and carries both labels."""
+    A pure sentence has 3-9 words of one of `_SHARED_TAGS`, drawn with
+    equal odds; a mixed one (one in ten) has 3-9 words of one of
+    `_SHARED_PAIRS`, at least one of each, and carries both labels."""
     splits = []
     for split, n in (("train", n_train), ("test", n_test)):
         items = []
         for _ in range(n):
             if rng.random() < _MIXED_FRACTION:
-                pair = pairs[rng.randrange(len(pairs))]
+                pair = _SHARED_PAIRS[rng.randrange(len(_SHARED_PAIRS))]
                 words = [word(pair[0]), word(pair[1])] + [word(rng.choice(pair)) for _ in range(rng.randint(1, 7))]
                 rng.shuffle(words)
                 items.append(LabeledSentence(" ".join(words), LabelSet.of(*pair)))
             else:
-                lang = tags[rng.randrange(len(tags))]
+                lang = _SHARED_TAGS[rng.randrange(len(_SHARED_TAGS))]
                 items.append(LabeledSentence(" ".join(word(lang) for _ in range(rng.randint(3, 9))), LabelSet.of(lang)))
         splits.append(Dataset(split, tuple(items)))
     return splits[0], splits[1]
-
-
-def generate_corpus(n_train: int, n_test: int, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Deterministic (train, test) pair over three disjoint alphabets."""
-    rng = random.Random(seed)
-    return _sample(rng, n_train, n_test, _TAGS, _PAIRS, lambda lang: _word(rng, ALPHABETS[lang.value]))
-
-
-SHARED_ALPHABET = "abcdefghijklmnopqrstuvwxyzæøåäö"
-_SHARED_TAGS = (*SCANDINAVIAN, Language.OTHER)
-_SHARED_PAIRS = tuple(itertools.combinations(SCANDINAVIAN, 2))
-_VOCABULARY_SIZE = 500
-_ZIPF_WEIGHTS = list(itertools.accumulate(rank**-1.07 for rank in range(1, _VOCABULARY_SIZE + 1)))
 
 
 def _vocabularies(rng: random.Random) -> dict[Language, list[str]]:
@@ -100,6 +77,6 @@ def generate_shared_alphabet_corpus(n_train: int, n_test: int, seed: int = 0) ->
     rng = random.Random(seed)
     vocabularies = _vocabularies(rng)
     return _sample(
-        rng, n_train, n_test, _SHARED_TAGS, _SHARED_PAIRS,
+        rng, n_train, n_test,
         lambda lang: rng.choices(vocabularies[lang], cum_weights=_ZIPF_WEIGHTS)[0],
     )

@@ -154,6 +154,12 @@ def test_alphabet_variants_requires_letters():
         extract_alphabet_variants(["x"], set(), LabelSet.of("sv"))
 
 
+def test_alphabet_variants_rejects_a_label_that_is_not_a_label_set():
+    # A str label once built a dataset that failed only when written.
+    with pytest.raises(TypeError, match="labels must be a LabelSet"):
+        extract_alphabet_variants(["Hej då"], "å", "sv")
+
+
 @given(st.lists(st.sampled_from(["på æble", "uten treff", "møte", "ren tekst"]), max_size=30))
 def test_alphabet_variants_output_is_subsequence(sentences):
     kept = [it.text for it in extract_alphabet_variants(sentences, {"æ", "ø"}, LabelSet.of("sv"))]
@@ -251,6 +257,15 @@ def test_ner_swap_rejects_bad_sentence_index():
     d = make_dataset(2)
     with pytest.raises(DataError, match="out of range"):
         ner_swap(d, [ann(5, 0, 2, "misc", "se")], seed=0)
+
+
+def test_entity_annotation_positions_must_be_ints():
+    # True would pass as sentence 1, and a float offset would fail only
+    # when ner_swap slices with it.
+    for position in (True, 0.0):
+        for args in ((position, 0, 4), (0, position, 4), (0, 0, position)):
+            with pytest.raises(TypeError, match="must be int"):
+                EntityAnnotation(*args, "person", "Kari")
 
 
 def test_ner_swap_refuses_test_split():

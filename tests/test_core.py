@@ -95,6 +95,13 @@ def test_labeled_sentence_rejects_blank_text():
         LabeledSentence("   \t", LabelSet.of("da"))
 
 
+def test_labeled_sentence_rejects_text_and_labels_of_the_wrong_type():
+    with pytest.raises(TypeError, match="sentence text must be str"):
+        LabeledSentence(5, LabelSet.of("da"))
+    with pytest.raises(TypeError, match="labels must be a LabelSet"):
+        LabeledSentence("Hej", "da")
+
+
 def test_labeled_sentence_keeps_source():
     item = LabeledSentence("Hej", LabelSet.of("da"), source="da_ddt")
     assert item.source == "da_ddt"

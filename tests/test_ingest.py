@@ -256,6 +256,21 @@ def test_compose_other_sampling_without_replacement(tmp_path):
     assert others == sorted(others, key=pool.index)
 
 
+def test_compose_rejects_a_seed_or_sample_size_that_is_not_an_exact_int(tmp_path):
+    other = tmp_path / "other.txt"
+    other.write_text("a\nb\nc\nd\n", encoding="utf-8")
+    sources = [CorpusSource(other, "plaintext", LabelSet.of("other"))]
+    for seed in (True, 1.5):
+        with pytest.raises(TypeError, match="seed must be int"):
+            compose_training_set(sources, seed=seed, other_sample_size=2)
+    for size in (True, 2.5):
+        with pytest.raises(TypeError, match="other_sample_size must be int or None"):
+            compose_training_set(sources, seed=0, other_sample_size=size)
+    with pytest.raises(ValueError, match="other_sample_size must be >= 0"):
+        compose_training_set(sources, seed=0, other_sample_size=-1)
+    assert len(compose_training_set(sources, seed=0, other_sample_size=0)) == 0
+
+
 def test_compose_keeps_duplicates_unless_dedupe(tmp_path):
     p = tmp_path / "dup.txt"
     p.write_text("samma mening\nsamma mening\n", encoding="utf-8")

@@ -51,11 +51,7 @@ from scandilid.model import (
     _targets,
     _validation_metric,
 )
-from scandilid.synthetic import (
-    SHARED_ALPHABET,
-    generate_corpus,
-    generate_shared_alphabet_corpus,
-)
+from scandilid.synthetic import SHARED_ALPHABET, generate_shared_alphabet_corpus
 
 
 def small_config(**overrides):
@@ -368,8 +364,9 @@ def test_untouched_embedding_rows_have_zero_gradient():
 
 @pytest.mark.parametrize("dim", [1, 8, 32])
 def test_scatter_add_matches_two_dimensional_add_at_bit_for_bit(dim):
-    # Ids repeated hundreds of times in one batch, far more than the tiny
-    # golden corpus reaches, over ragged sentence lengths, 0 among them:
+    # Ids repeated hundreds of times in one batch (1,430-1,971 here; a
+    # batch of the golden training run reaches 233), over ragged sentence
+    # lengths, 0 among them:
     # every table element must take its additions in the order the 2-D
     # np.add.at of one row per gram gives them.
     rng = np.random.default_rng(dim)
@@ -582,7 +579,7 @@ def test_sigmoid_matches_two_branch_form_bit_for_bit():
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
-    train_set, test_set = generate_corpus(1500, 300, seed=5)
+    train_set, test_set = generate_shared_alphabet_corpus(1500, 300, seed=5)
     valid = train_set.with_items(train_set.items[-200:])
     fit = train_set.with_items(train_set.items[:-200])
     return fit, valid, test_set
@@ -595,16 +592,6 @@ def tiny_train_config(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
-
-
-def test_training_learns_separable_corpus(tiny_corpus):
-    fit, valid, test_set = tiny_corpus
-    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
-    result = train(fit, valid, cfg, tiny_train_config())
-    hits = sum(1 for item in test_set if predict(result.model, item.text) == item.labels)
-    assert hits / len(test_set) >= 0.9
-    assert result.epoch_losses[0] < result.initial_loss
-    assert result.history, "validation evaluations must be recorded"
 
 
 def test_shared_alphabet_corpus_differs_only_in_words():
@@ -627,14 +614,6 @@ def test_shared_alphabet_corpus_differs_only_in_words():
 @pytest.mark.parametrize(
     "generate, sizes, seed, digests",
     [
-        (generate_corpus, (1500, 300), 5, (
-            "9fd4947241b269069c9a4c87837ffa3ac97fd77ac451f693473f78b034c35789",
-            "68ec0bf53831fd49963c199721fb6e8dda6c27bbacbd62dd976217d320f7a1b0",
-        )),
-        (generate_corpus, (360, 10), 3, (
-            "5973fb7a37f44df063b5fa6e8b5838a3a5640c1bcdfc4f4117d4cbe69e8c6c49",
-            "91f4989f99330e9ed5c926e23e99cfa51c9af073de5e373dbf551da26c7253c3",
-        )),
         (generate_shared_alphabet_corpus, (3000, 600), 1, (
             "6974b5720ced0e845034349312d0b0e915b63ce84e26fa62ece13e6edc06d0df",
             "c1e76b1bec7e2c2b41281915ba91d37e4f317075ac94af9adfd6c5bd042f410b",
@@ -642,6 +621,14 @@ def test_shared_alphabet_corpus_differs_only_in_words():
         (generate_shared_alphabet_corpus, (2000, 200), 4, (
             "86e7829c91ca50b5a9d97b2f866443cbbe4c33f7329ea4ca478755b5e8b7d263",
             "40bd5f19136a9e9edb16b6884dcb7c0ae2e2ba0da82a68550fa1abcc8fbb5a6c",
+        )),
+        (generate_shared_alphabet_corpus, (1500, 300), 5, (
+            "c99ce1d1cbdb17d829c8d105c3f20593bd523fd21dfc8484be105eef4e1365f1",
+            "a22c8e0246d1a91341ccf2375bb39901fa11502f918127d123a3149bd45b6b67",
+        )),
+        (generate_shared_alphabet_corpus, (360, 10), 3, (
+            "3f6ce3d4d868154fbbab013ac7f198ed1c1037ce8a02f19e2b8ee03b2c44176d",
+            "dec278b2e3e9cd789430ce90f934d0ebe8b2cc64e22143fc09e6fd2ebea578de",
         )),
     ],
 )
@@ -664,6 +651,8 @@ def test_training_learns_languages_that_share_one_alphabet():
     fit, valid = train_set.with_items(train_set.items[:-400]), train_set.with_items(train_set.items[-400:])
     cfg = FeaturizerConfig(bucket_count=1 << 14, embed_dim=16)
     result = train(fit, valid, cfg, TrainConfig(epochs=8, eval_interval=20))
+    assert result.epoch_losses[0] < result.initial_loss
+    assert result.history, "validation evaluations must be recorded"
     hits = {}
     for item in test_set:
         group = "mixed" if len(item.labels) > 1 else next(iter(item.labels)).value
@@ -843,7 +832,7 @@ def test_training_without_validation_returns_final_weights(tiny_corpus, tmp_path
     path = tmp_path / "m.slfx"
     save_model(result.model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4bae90b87b998f4350de42fd2dd7a402a5f65ae004aa332a3dd66ec4b4cc1fb1"
+        "d20db278c6e5a0202c63cbbbc10b82f5da3034e6e0617cb0d1fb8590928980fe"
     )
 
 
@@ -862,7 +851,7 @@ def test_training_aborts_on_divergence(tiny_corpus):
 
 
 def overflow_corpus():
-    items = generate_corpus(360, 10, seed=3)[0].items
+    items = generate_shared_alphabet_corpus(360, 10, seed=3)[0].items
     return Dataset("train", items[:300]), Dataset("validation", items[300:])
 
 
