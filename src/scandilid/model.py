@@ -18,9 +18,12 @@ its update about batch-size-fold, and languages that share one alphabet
 and differ only in their words would not separate.
 Weights are stored as float32; training and loss accumulation run in
 float64, and `gradient_check` in `tests/test_model.py` verifies the
-analytic gradients against central differences. `train` casts each better
-evaluation's weights into one set of float32 arrays, made at the first,
-then drops the float64 ones and copies these into the `FastModel`.
+analytic gradients against central differences. Only the buckets that
+training and validation grams touch get float64 rows: `train` maps each
+featurized id in place to its bucket's rank among them, and `_init_params`
+draws the table in chunks (one draw's stream) into a float32 table. Each
+better evaluation casts the weights into that table's touched rows, the
+others never moving, and float32 head arrays, which the `FastModel` copies.
 The embedding gradient is sparse: each gram of a sentence gets the
 sentence's pooled gradient divided by its length, so `_backprop` returns
 one such row per sentence, with the batch's gram ids and sentence lengths,
@@ -301,16 +304,28 @@ def _targets(items: Sequence[LabeledSentence]) -> np.ndarray:
 # arrays in `_ARRAY_NAMES` order)
 
 
-def _init_params(fcfg: FeaturizerConfig, rng: np.random.Generator) -> list[np.ndarray]:
+_INIT_CHUNK_BYTES = 1 << 20  # `_init_params` draws the table this many float64 bytes at a time, or one row
+
+
+def _init_params(fcfg: FeaturizerConfig, rng: np.random.Generator, touched: np.ndarray) -> tuple[list, np.ndarray]:
+    """The float64 parameters, with only the (sorted) embedding rows ``touched``, and the
+    whole table in float32, drawn in chunks of rows that take one draw's values from `rng`."""
     emb_shape, w1_shape, b1_shape, w2_shape, b2_shape = _shapes(fcfg)
     dim = fcfg.embed_dim
+    table, rows = np.empty(emb_shape, np.float32), np.empty((touched.size, dim))
+    chunk = max(1, _INIT_CHUNK_BYTES // (8 * dim))
+    for start in range(0, len(table), chunk):
+        drawn = rng.uniform(-1.0 / dim, 1.0 / dim, size=table[start : start + chunk].shape)
+        table[start : start + chunk] = drawn
+        lo, hi = np.searchsorted(touched, (start, start + chunk))
+        rows[lo:hi] = drawn[touched[lo:hi] - start]
     return [
-        rng.uniform(-1.0 / dim, 1.0 / dim, size=emb_shape),
+        rows,
         rng.uniform(-1.0, 1.0, size=w1_shape) / np.sqrt(dim),
         np.zeros(b1_shape),
         rng.uniform(-1.0, 1.0, size=w2_shape) / np.sqrt(HIDDEN_SIZE),
         np.zeros(b2_shape),
-    ]
+    ], table
 
 
 def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
@@ -401,6 +416,7 @@ class TrainResult:
     epoch_losses: list[float]
     best_step: int
     best_metric: float
+    stopped_early: bool  # on patience, before the epochs ran out
 
 
 def _validation_metric(
@@ -415,15 +431,14 @@ def _validation_metric(
 
 
 @np.errstate(over="ignore")
-def _checkpoint(params: list[np.ndarray], best: list[np.ndarray] | None, step: int) -> list[np.ndarray]:
-    """``params`` cast into the float32 arrays ``best``, allocated when None. A weight
-    finite in float64 but beyond the float32 range fails FastModel's check: a divergence."""
-    best = best or [np.empty(a.shape, np.float32) for a in params]
-    for name, a, b in zip(_ARRAY_NAMES, params, best):
-        np.copyto(b, a, casting="unsafe")
-        if not _finite(b):
+def _checkpoint(params: list[np.ndarray], best: list[np.ndarray], touched: np.ndarray, step: int) -> None:
+    """Cast ``params`` into the float32 arrays ``best``, the embedding into the table's rows ``touched``.
+    A weight finite in float64 but beyond the float32 range fails FastModel's check: a divergence."""
+    for name, a, b, rows in zip(_ARRAY_NAMES, params, best, [touched] + [...] * 4):
+        cast = a.astype(np.float32)
+        if not _finite(cast):
             raise TrainingError(f"weights beyond the float32 range at step {step} ({name}); lower the learning rate")
-    return best
+        b[rows] = cast
 
 
 def train(
@@ -438,10 +453,13 @@ def train(
     Every ``eval_interval`` optimizer steps, and after the last step
     when it falls between intervals, exact match is computed on
     ``valid_set`` and the best-scoring checkpoint is kept; training
-    stops early after ``patience`` evaluations without improvement.
-    With an empty ``valid_set`` the final weights are returned, with
-    ``best_metric`` NaN. Texts are featurized as-is: normalize
-    beforehand if the pipeline calls for it.
+    stops early after ``patience`` evaluations without improvement
+    (``stopped_early``), and a best checkpoint at the last evaluation
+    logs a warning: the run may not have converged. With an empty
+    ``valid_set`` the final weights are returned, with ``best_metric``
+    NaN. Only embedding rows that some gram addresses are held in
+    float64; the others keep their initial values. Texts are featurized
+    as-is: normalize beforehand if the pipeline calls for it.
     """
     threshold = _check_threshold(threshold)
     if len(train_set) == 0:
@@ -451,11 +469,20 @@ def train(
     y = _targets(train_set)
     vfeats = featurize_many([item.text for item in valid_set], fcfg)
     vy = _targets(valid_set)
+    index = np.zeros(fcfg.bucket_count, np.int64)  # marks the touched buckets, then maps each to its rank
+    for ids in itertools.chain(feats, vfeats):
+        index[ids] = 1
+    touched = np.flatnonzero(index)
+    index[touched] = np.arange(touched.size)
+    for ids in itertools.chain(feats, vfeats):
+        index.take(ids, out=ids)
+    del index
 
     rng = np.random.default_rng(tcfg.seed)
-    params = _init_params(fcfg, rng)
+    params, table = _init_params(fcfg, rng, touched)
     emb, *head = params
     velocity = [np.zeros_like(a) for a in head]
+    best = [table, *(np.empty(a.shape, np.float32) for a in head)]  # written at each checkpoint
 
     n = len(train_set)
     initial_loss = _loss(params, feats, y)
@@ -464,7 +491,6 @@ def train(
     starts = range(0, n, tcfg.batch_size)
     last_step = tcfg.epochs * len(starts)
     history: list[EvalPoint] = []
-    best: list[np.ndarray] | None = None  # float32 parameters; None until the first evaluation
     best_metric, best_step = float("nan"), last_step  # kept if nothing is evaluated
     evals_without_improvement = 0
     losses: list[float] = []  # one per step
@@ -496,10 +522,10 @@ def train(
             metric = _validation_metric(params, vfeats, vy, threshold)
             train_loss = float(np.mean(losses[history[-1].step if history else 0 :]))
             history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
-            if best is None or metric > best_metric:
+            if len(history) == 1 or metric > best_metric:
                 best_metric = metric
                 best_step = step
-                best = _checkpoint(params, best, step)
+                _checkpoint(params, best, touched, step)
                 evals_without_improvement = 0
             else:
                 evals_without_improvement += 1
@@ -509,9 +535,11 @@ def train(
 
     # An epoch cut short by an early stop counts with the steps it ran.
     epoch_losses = [float(np.mean(losses[i : i + len(starts)])) for i in range(0, len(losses), len(starts))]
-    if best is None:  # no validation set
-        best = _checkpoint(params, None, len(losses))
-    del params, emb  # before the model copies `best`, so memory peaks no higher than in the loop
+    if not history:  # no validation set
+        _checkpoint(params, best, touched, len(losses))
+    elif best_step == history[-1].step:
+        logger.warning("best checkpoint is the last evaluation, step %d: the run may not have converged", best_step)
+    del params, emb  # before the model copies the float32 table, where memory peaks
     return TrainResult(
         model=FastModel(fcfg, *best, threshold=threshold),
         history=history,
@@ -519,6 +547,7 @@ def train(
         epoch_losses=epoch_losses,
         best_step=best_step,
         best_metric=best_metric,
+        stopped_early=len(losses) < last_step,
     )
 
 

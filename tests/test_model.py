@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import logging
 import math
 import pickle
 import struct
@@ -354,7 +355,7 @@ def test_untouched_embedding_rows_have_zero_gradient():
     cfg = small_config()
     feats = [featurize(item.text, cfg) for item in GRADCHECK_BATCH]
     y = np.stack([targets_for(item.labels) for item in GRADCHECK_BATCH])
-    params = _init_params(cfg, np.random.default_rng(5))
+    params, _ = _init_params(cfg, np.random.default_rng(5), np.arange(cfg.bucket_count))
     _, grads = loss_and_grads(params, feats, y)
     touched = set(np.concatenate(feats).tolist())
     for row in range(cfg.bucket_count):
@@ -506,7 +507,7 @@ def test_duplicated_sample_gradient_linearity():
     feats2 = feats1 * 2
     y1 = np.stack([targets_for(item.labels)])
     y2 = np.stack([targets_for(item.labels)] * 2)
-    params = _init_params(cfg, np.random.default_rng(8))
+    params, _ = _init_params(cfg, np.random.default_rng(8), np.arange(cfg.bucket_count))
     loss1, g1 = loss_and_grads(params, feats1, y1)
     loss2, g2 = loss_and_grads(params, feats2, y2)
     assert loss1 == loss2
@@ -790,7 +791,7 @@ def zero_rate_step_losses(fit, cfg, tcfg):
     """Every step's batch loss for weights that never move, with the
     initial weights and batch orders drawn as `train` draws them."""
     rng = np.random.default_rng(tcfg.seed)
-    params = _init_params(cfg, rng)
+    params, _ = _init_params(cfg, rng, np.arange(cfg.bucket_count))
     feats = featurize_many([item.text for item in fit], cfg)
     y = np.array([targets_for(item.labels) for item in fit])
     losses = []
@@ -802,14 +803,18 @@ def zero_rate_step_losses(fit, cfg, tcfg):
     return losses
 
 
-def test_training_stops_after_patience_evaluations_without_improvement(tiny_corpus):
+def test_training_stops_after_patience_evaluations_without_improvement(tiny_corpus, caplog):
     # A zero learning rate never improves the metric: the evaluation at
     # step 50 stays best and the run stops two evaluations later, at
     # step 150, 27 steps into the fourth epoch (41 steps an epoch).
     fit, valid, _ = tiny_corpus
     cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
     tcfg = tiny_train_config(learning_rate=0.0, patience=2)
-    result = train(fit, valid, cfg, tcfg)
+    with caplog.at_level(logging.INFO, logger="scandilid.model"):
+        result = train(fit, valid, cfg, tcfg)
+    assert result.stopped_early
+    assert "early stop at step 150" in caplog.text
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]  # the best is not the last
     assert [(p.step, p.epoch) for p in result.history] == [(50, 1), (100, 2), (150, 3)]
     assert result.best_step == 50
     assert result.best_metric == result.history[0].metric
@@ -819,6 +824,72 @@ def test_training_stops_after_patience_evaluations_without_improvement(tiny_corp
     epoch_spans = [(0, 41), (41, 82), (82, 123), (123, 150)]
     assert [p.train_loss for p in result.history] == [float(np.mean(losses[a:b])) for a, b in eval_spans]
     assert result.epoch_losses == [float(np.mean(losses[a:b])) for a, b in epoch_spans]
+
+
+def test_training_warns_when_the_best_checkpoint_is_the_last_evaluation(tiny_corpus, caplog):
+    # One evaluation, after the last of 41 steps: the best checkpoint is
+    # the final one, so nothing says the run converged.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
+    with caplog.at_level(logging.WARNING, logger="scandilid.model"):
+        result = train(fit, valid, cfg, tiny_train_config(epochs=1, eval_interval=1000))
+    assert [p.step for p in result.history] == [41] and result.best_step == 41
+    assert not result.stopped_early
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == "best checkpoint is the last evaluation, step 41: the run may not have converged"
+
+
+@pytest.mark.parametrize(
+    "bucket_count, dim, chunk_bytes",
+    [
+        (1 << 15, 3, None),  # 32,768 rows, below one chunk of 43,690
+        (1 << 14, 8, None),  # one chunk of 16,384 rows exactly
+        (1 << 16, 3, None),  # 65,536 rows: one chunk and a part of one
+        (64, 3, 24 * 24),  # chunks of 24 rows: 24, 24, 16
+        (64, 3, 1),  # less than a row: one row at a time
+    ],
+)
+def test_init_params_draws_the_table_as_one_draw(monkeypatch, bucket_count, dim, chunk_bytes):
+    # The table drawn in chunks takes the values of one rng.uniform draw
+    # of the whole table, and the head's draws and the generator's next
+    # draw follow unchanged: the stream training initializes from.
+    if chunk_bytes is not None:
+        monkeypatch.setattr(model_module, "_INIT_CHUNK_BYTES", chunk_bytes)
+    cfg = FeaturizerConfig(bucket_count=bucket_count, embed_dim=dim)
+    rng = np.random.default_rng(7)
+    whole = rng.uniform(-1.0 / dim, 1.0 / dim, size=(bucket_count, dim))
+    w1 = rng.uniform(-1.0, 1.0, size=(64, dim)) / np.sqrt(dim)
+    w2 = rng.uniform(-1.0, 1.0, size=(4, 64)) / np.sqrt(64)
+    after = rng.random()
+    subset = np.unique(np.random.default_rng(bucket_count).integers(0, bucket_count, size=40))
+    for touched in (np.arange(bucket_count), np.array([], np.int64), np.r_[0, subset, bucket_count - 1]):
+        rng = np.random.default_rng(7)
+        params, table = _init_params(cfg, rng, touched)
+        assert rng.random() == after
+        assert table.dtype == np.float32 and table.tobytes() == whole.astype(np.float32).tobytes()
+        assert params[0].dtype == np.float64 and params[0].tobytes() == whole[touched].tobytes()
+        for got, want in zip(params[1:], [w1, np.zeros(64), w2, np.zeros(4)], strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_trained_model_keeps_the_initial_cast_of_every_untrained_row(tiny_corpus):
+    # Rows that no training gram addresses, untouched rows and rows only
+    # validation grams address alike, never move: the model holds the
+    # float32 cast of their initial draw. Every other row moved.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(embed_dim=8)
+    tcfg = tiny_train_config(epochs=1)
+    model = train(fit, valid, cfg, tcfg).model
+    trained, validated = np.zeros(cfg.bucket_count, bool), np.zeros(cfg.bucket_count, bool)
+    for mask, split in ((trained, fit), (validated, valid)):
+        for ids in featurize_many([item.text for item in split], cfg):
+            mask[ids] = True
+    assert (validated & ~trained).any() and not (trained | validated).all()
+    draw = np.random.default_rng(tcfg.seed).uniform(-1.0 / 8, 1.0 / 8, size=(cfg.bucket_count, 8))
+    initial = draw.astype(np.float32)
+    assert model.embeddings[~trained].tobytes() == initial[~trained].tobytes()
+    assert np.array_equal(np.any(model.embeddings != initial, axis=1), trained)
 
 
 def test_training_without_validation_returns_final_weights(tiny_corpus, tmp_path):
@@ -1025,17 +1096,16 @@ def test_weights_of_a_model_built_from_arrays_refuse_writeable(tiny_corpus):
 
 
 def test_training_casts_every_checkpoint_into_one_set_of_float32_arrays(tiny_corpus, monkeypatch):
-    # The float32 arrays are made at the first evaluation and reused at
-    # every better one; the model copies them after the loop, so its
+    # The float32 arrays are made before the first evaluation and reused
+    # at every better one; the model copies them after the loop, so its
     # weights share no memory with them and cannot be made writeable.
     fit, valid, _ = tiny_corpus
     cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
     checkpoint, returned = model_module._checkpoint, []
 
-    def recording(params, best, step):
-        best = checkpoint(params, best, step)
+    def recording(params, best, touched, step):
+        checkpoint(params, best, touched, step)
         returned.append(list(best))
-        return best
 
     monkeypatch.setattr(model_module, "_checkpoint", recording)
     result = train(fit, valid, cfg, tiny_train_config())
@@ -1048,6 +1118,24 @@ def test_training_casts_every_checkpoint_into_one_set_of_float32_arrays(tiny_cor
         assert not np.shares_memory(weight, arr)
         with pytest.raises(ValueError, match="WRITEABLE"):
             weight.flags.writeable = True
+
+
+def test_training_holds_no_float64_copy_of_the_table(tiny_corpus):
+    # Training holds the float32 table and float64 rows for the touched
+    # buckets only (12,756 of 262,144 here); the model's copy of the table
+    # is made after the float64 weights are dropped. A float64 copy of the
+    # whole table would add twice the table's bytes.
+    fit, valid, _ = tiny_corpus
+    cfg = FeaturizerConfig(embed_dim=32)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train(fit, valid, cfg, tiny_train_config(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cfg.bucket_count * cfg.embed_dim * 4
 
 
 def test_model_casts_float64_weights_with_one_copy():
