@@ -23,7 +23,7 @@ training and validation grams touch get float64 rows: `train` maps each
 featurized id in place to its bucket's rank among them, and `_init_params`
 draws the table in chunks (one draw's stream) into a float32 table. Each
 better evaluation casts the weights into that table's touched rows, the
-others never moving, and float32 head arrays, which the `FastModel` copies.
+others never moving, and float32 head arrays, which the `FastModel` adopts.
 The embedding gradient is sparse: each gram of a sentence gets the
 sentence's pooled gradient divided by its length, so `_backprop` returns
 one such row per sentence, with the batch's gram ids and sentence lengths,
@@ -37,17 +37,18 @@ gram, and every bit is the same.
 Serving, the training loss, backprop, validation and the gradient check
 share one forward path: `_pool` averages a sentence's embedding rows,
 `_pool_all` a batch's, and `_layers` applies the head to one pooled vector
-or a batch of them. Both gather rows with `take` and sum them in float64
-as ``ones @ rows``, one BLAS `dgemv` call that streams every row, where a
-reduction along axis 0 runs one inner loop of `embed_dim` elements per
-row; `_pool` calls it by `np.dot`, without `matmul`'s dispatch, and
-`forward` and `predict` pass it the cached int32 ids (`features._ids`),
-which `take` accepts, with no int64 copy. `_pool_all` sums in one loop,
-with no call, cast or division per sentence, and divides the batch by its
-lengths once: `_pool`'s bits. The kernel picks its summation order, so
-on training's float64 table the sums, and so trained bits, depend on the
-BLAS build, as `_layers`' matmuls already make them do. A served float32 table's rows sum exactly in
-float64, in any order, while every partial sum stays below 2^29 times the
+or a batch of them. Every product is an `np.dot`, the BLAS call of its
+``@`` formula without `matmul`'s gufunc dispatch: the same bits on float64
+operands, not on a mixed float32/float64 pair, which `np.dot` casts
+otherwise, so `_layers` takes only float64 heads (`FastModel`'s and
+training's). The pools sum the rows `take` gathers in float64 as
+``np.dot(ones, rows)``, one `dgemv` that streams every row, where a
+reduction along axis 0 runs an inner loop of `embed_dim` elements per row;
+`_pool` takes the cached int32 ids (`features._ids`), with no int64 copy,
+and `_pool_all` sums a batch in one loop and divides it by its lengths
+once: `_pool`'s bits. The kernel picks its summation order, so trained
+bits depend on the BLAS build. A served float32 table's
+rows sum exactly in float64, in any order, while every partial sum stays below 2^29 times the
 smallest nonzero magnitude among them. `take` has a slow path for float32
 rows off a 4-byte boundary, so `FastModel` holds only aligned arrays, and
 `save_model` pads the file's header so that its arrays start on one.
@@ -57,11 +58,12 @@ inside a mixed matmul (a contiguous transpose), so the bits are the same;
 a C-order copy changes the last bits of most outputs.
 The parameter arrays have one layout, `_ARRAY_NAMES` in the shapes of
 `_shapes`, used by `FastModel`, training and the model file.
-`FastModel` shares memory with no input but the aligned views of a file's
-`bytes` that `load_model` makes and marks as its own (`_FileView`). Every
-other input, whatever its flags or base, and the float64 head, is cast
-straight into a `bytearray` seen only through a read-only `memoryview`, so
-no weight of a model can be set writeable again or changed through a view.
+`FastModel` shares memory with no input but the aligned read-only views
+that `load_model` (of a file's `bytes`) and `train` (of the `bytearray`s it
+checkpoints into) hand over, keeping no other reference (`_HandedOver`).
+Every other input, whatever its flags or base, and the float64 head, is
+cast into a `bytearray` seen only through a read-only `memoryview`, so no
+weight of a model can be set writeable again or changed through a view.
 
 `predict` decides on logits, the sigmoid being monotone: for threshold t and
 m = 1e-9 it accepts logits at or above that of t·(1 + m), rejects those at
@@ -179,20 +181,28 @@ def _finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-class _FileView(NamedTuple):  # a `load_model` view of a file's bytes: the one input held as it is
+class _HandedOver(NamedTuple):  # a read-only view from `load_model` or `train`: the one input held as it is
     array: np.ndarray
 
 
-def _frozen(value: np.ndarray | _FileView, dtype: type) -> np.ndarray:
+def _frozen(value: np.ndarray | _HandedOver, dtype: type) -> np.ndarray:
     """`value` as an aligned C-order `dtype` array no one can write: an aligned
-    `_FileView`'s own array, else a cast copy; see the module docstring."""
-    arr = np.asarray(value.array if isinstance(value, _FileView) else value)
-    if isinstance(value, _FileView) and arr.dtype == dtype and arr.flags.aligned:
+    `_HandedOver`'s own array, else a cast copy; see the module docstring."""
+    arr = np.asarray(value.array if isinstance(value, _HandedOver) else value)
+    if isinstance(value, _HandedOver) and arr.dtype == dtype and arr.flags.aligned:
         return arr
-    buf = bytearray(arr.size * np.dtype(dtype).itemsize)
+    buf = _on_bytearray(arr.shape, dtype)
     with np.errstate(over="ignore"):
-        np.copyto(np.frombuffer(buf, dtype).reshape(arr.shape), arr, casting="unsafe")
-    return np.frombuffer(memoryview(buf).toreadonly(), dtype).reshape(arr.shape)
+        np.copyto(buf, arr, casting="unsafe")
+    return _read_only(buf)
+
+
+def _on_bytearray(shape: tuple[int, ...], dtype: type = np.float32) -> np.ndarray:
+    return np.frombuffer(bytearray(math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:  # a view of C-contiguous `arr` no one can make writeable
+    return np.frombuffer(memoryview(arr).toreadonly(), arr.dtype).reshape(arr.shape)
 
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
@@ -222,9 +232,8 @@ _ONES.flags.writeable = False
 
 
 def _pool(emb: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mean of the embedding rows of one sentence's grams, in float64;
-    zeros for no grams. The rows are summed as ``np.dot(ones, rows)``, one
-    BLAS matrix-vector product."""
+    """Mean of the embedding rows of one sentence's grams, in float64; zeros
+    for no grams. The rows are summed as ``np.dot(ones, rows)``, one `dgemv`."""
     n = ids.size
     ones = _ONES[:n] if n <= _ONES.size else np.ones(n)
     total = np.dot(ones, emb.take(ids, axis=0).astype(np.float64, copy=False))
@@ -237,18 +246,20 @@ def _pool_all(emb: np.ndarray, feats: Sequence[np.ndarray]) -> np.ndarray:
     out = np.empty((len(feats), emb.shape[1]), dtype=np.float64)
     lengths = [ids.size for ids in feats]
     for ids, n, row in zip(feats, lengths, out):
-        np.matmul(_ONES[:n] if n <= _ONES.size else np.ones(n), emb.take(ids, axis=0), out=row)
+        np.dot(_ONES[:n] if n <= _ONES.size else np.ones(n), emb.take(ids, axis=0), out=row)
     out /= np.maximum(lengths, 1)[:, None]
     return out
 
 
-def _layers(params: Sequence[np.ndarray], e: np.ndarray):
-    """Hidden pre-activation z1, hidden activation h and output logits z2
-    for one pooled vector (1-D) or a batch of them (2-D, one per row)."""
+def _layers(params: Sequence[np.ndarray], e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activation h and output logits z for one pooled vector (1-D) or a
+    batch of them (2-D, one per row); a float64 head only, see the module docstring."""
     _, w1, b1, w2, b2 = params
-    z1 = e @ w1.T + b1
-    h = np.maximum(z1, 0.0)
-    return z1, h, h @ w2.T + b2
+    h = np.dot(e, w1.T)
+    h += b1
+    z = np.dot(np.maximum(h, 0.0, out=h), w2.T)
+    z += b2
+    return h, z
 
 
 # The label set of every accept row, keyed by its four bits in `OUTPUT_ORDER`.
@@ -266,12 +277,12 @@ def _decode(accept_row: np.ndarray) -> LabelSet:
 def forward(model: FastModel, text: str) -> np.ndarray:
     """Probabilities for (da, nb, nn, sv); empty text uses the zero embedding."""
     e = _pool(model.embeddings, _ids(text, model.featurizer))
-    return _probabilities(_layers(model._head, e)[2])
+    return _probabilities(_layers(model._head, e)[1])
 
 
 def predict(model: FastModel, text: str) -> LabelSet:
     """Languages whose probability reaches the threshold; `other` if none do."""
-    z = _layers(model._head, _pool(model.embeddings, _ids(text, model.featurizer)))[2]
+    z = _layers(model._head, _pool(model.embeddings, _ids(text, model.featurizer)))[1]
     logits = z.tolist()
     accept = tuple(map(model._sure.__le__, logits))
     if accept == tuple(map(model._unsure.__lt__, logits)):  # no logit strictly between the bounds
@@ -288,13 +299,8 @@ def predict_top1(model: FastModel, text: str) -> Language:
     return Language.OTHER
 
 
-def targets_for(labels: LabelSet) -> np.ndarray:
-    """0/1 target vector; `other` maps to all zeros."""
-    return np.array([lang in labels for lang in OUTPUT_ORDER], dtype=np.float64)
-
-
 def _targets(items: Sequence[LabeledSentence]) -> np.ndarray:
-    """One `targets_for` row per item, filled in one pass; shape (0, 4) when there are none."""
+    """Each item's 0/1 row in `OUTPUT_ORDER` (`other` all zeros), in one pass; shape (0, 4) for none."""
     bits = (lang in item.labels for item in items for lang in OUTPUT_ORDER)
     return np.fromiter(bits, np.float64, count=len(items) * N_OUTPUTS).reshape(-1, N_OUTPUTS)
 
@@ -312,7 +318,7 @@ def _init_params(fcfg: FeaturizerConfig, rng: np.random.Generator, touched: np.n
     whole table in float32, drawn in chunks of rows that take one draw's values from `rng`."""
     emb_shape, w1_shape, b1_shape, w2_shape, b2_shape = _shapes(fcfg)
     dim = fcfg.embed_dim
-    table, rows = np.empty(emb_shape, np.float32), np.empty((touched.size, dim))
+    table, rows = _on_bytearray(emb_shape), np.empty((touched.size, dim))
     chunk = max(1, _INIT_CHUNK_BYTES // (8 * dim))
     for start in range(0, len(table), chunk):
         drawn = rng.uniform(-1.0 / dim, 1.0 / dim, size=table[start : start + chunk].shape)
@@ -335,8 +341,7 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray) -> float:
 
 
 def _loss(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray) -> float:
-    e = _pool_all(params[0], feats)
-    return _bce_from_logits(_layers(params, e)[2], y)
+    return _bce_from_logits(_layers(params, _pool_all(params[0], feats))[1], y)
 
 
 def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray):
@@ -347,15 +352,15 @@ def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.n
     `_scatter_add` applies it."""
     emb, w1, _, w2, _ = params
     e = _pool_all(emb, feats)
-    z1, h, z2 = _layers(params, e)
+    h, z2 = _layers(params, e)
     loss = _bce_from_logits(z2, y)
 
     dz2 = (_sigmoid(z2) - y) / z2.size
-    dz1 = (dz2 @ w2) * (z1 > 0)
-    de = dz1 @ w1
+    dz1 = np.dot(dz2, w2) * (h > 0)  # h > 0 where the pre-activation is, NaN and -0 included
+    de = np.dot(dz1, w1)
     lengths = np.array([ids.size for ids in feats])
     emb_grad = (np.concatenate(feats), lengths, de / np.maximum(lengths, 1)[:, None])
-    return loss, [emb_grad, dz1.T @ e, dz1.sum(axis=0), dz2.T @ h, dz2.sum(axis=0)]
+    return loss, [emb_grad, np.dot(dz1.T, e), dz1.sum(axis=0), np.dot(dz2.T, h), dz2.sum(axis=0)]
 
 
 def _scatter_add(table: np.ndarray, ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> None:
@@ -419,14 +424,10 @@ class TrainResult:
     stopped_early: bool  # on patience, before the epochs ran out
 
 
-def _validation_metric(
-    params: Sequence[np.ndarray],
-    feats: Sequence[np.ndarray],
-    y: np.ndarray,
-    threshold: float,
-) -> float:
+def _validation_metric(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray,
+                       threshold: float) -> float:
     e = _pool_all(params[0], feats)
-    accept = _probabilities(_layers(params, e)[2]) >= threshold
+    accept = _probabilities(_layers(params, e)[1]) >= threshold
     return float(np.all(accept == (y == 1.0), axis=1).mean())
 
 
@@ -482,7 +483,7 @@ def train(
     params, table = _init_params(fcfg, rng, touched)
     emb, *head = params
     velocity = [np.zeros_like(a) for a in head]
-    best = [table, *(np.empty(a.shape, np.float32) for a in head)]  # written at each checkpoint
+    best = [table, *(_on_bytearray(a.shape) for a in head)]  # written at each checkpoint, then handed over
 
     n = len(train_set)
     initial_loss = _loss(params, feats, y)
@@ -539,9 +540,8 @@ def train(
         _checkpoint(params, best, touched, len(losses))
     elif best_step == history[-1].step:
         logger.warning("best checkpoint is the last evaluation, step %d: the run may not have converged", best_step)
-    del params, emb  # before the model copies the float32 table, where memory peaks
     return TrainResult(
-        model=FastModel(fcfg, *best, threshold=threshold),
+        model=FastModel(fcfg, *(_HandedOver(_read_only(a)) for a in best), threshold=threshold),
         history=history,
         initial_loss=initial_loss,
         epoch_losses=epoch_losses,
@@ -579,7 +579,7 @@ def save_model(model: FastModel, path: Path | str) -> None:
 def load_model(path: Path | str) -> FastModel:
     """Read a model file; forward outputs are bit-identical to the saved
     model. The file is read once, into `bytes`, and the arrays are views
-    of them, which `FastModel` holds as they are, passed as `_FileView`s.
+    of them, which `FastModel` holds as they are, passed as `_HandedOver`s.
     `save_model` starts them on a 4-byte boundary, where `take` in `_pool`
     is many times faster; `FastModel` copies those of an unpadded file."""
     data = Path(path).read_bytes()
@@ -627,6 +627,6 @@ def load_model(path: Path | str) -> FastModel:
     flat = np.frombuffer(data, dtype="<f4", count=sum(counts), offset=header_end)
     arrays = [part.reshape(s) for part, s in zip(np.split(flat, np.cumsum(counts)[:-1]), shapes)]
     try:
-        return FastModel(fcfg, *map(_FileView, arrays), threshold=threshold)
+        return FastModel(fcfg, *map(_HandedOver, arrays), threshold=threshold)
     except ValueError as e:
         raise ModelFormatError(f"{path}: bad model: {e}") from None

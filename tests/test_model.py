@@ -34,7 +34,6 @@ from scandilid.model import (
     predict,
     predict_top1,
     save_model,
-    targets_for,
     train,
 )
 from scandilid.model import (
@@ -135,11 +134,40 @@ def test_forward_is_the_float32_head_bit_for_bit(dim):
     # The float64 head FastModel builds must give the bits of the mixed
     # float32/float64 matmuls on the stored arrays; a C-order cast does not.
     model = random_model(small_config(bucket_count=1024, embed_dim=dim), seed=dim)
-    params = [getattr(model, name) for name in _ARRAY_NAMES]
+    _, w1, b1, w2, b2 = (getattr(model, name) for name in _ARRAY_NAMES)
     for text in ["", *probe_sentences()]:
         e = _pool(model.embeddings, featurize(text, model.featurizer))
-        want = np.clip(_sigmoid(_layers(params, e)[2]), 1e-15, 1 - 1e-15)
+        want = np.clip(_sigmoid(np.maximum(e @ w1.T + b1, 0.0) @ w2.T + b2), 1e-15, 1 - 1e-15)
         assert forward(model, text).tobytes() == want.tobytes(), text
+
+
+@pytest.mark.parametrize("dim", [1, 8, 32, 322])
+def test_layers_and_backprop_are_the_matmul_formulas_bit_for_bit(dim):
+    # `_layers` and `_backprop` multiply with np.dot, in place where they
+    # can; on float64 parameters each product is the BLAS call of the `@`
+    # formula, so the bytes must be its bytes, for one pooled vector and
+    # for a batch. Empty sentences and zero biases put pre-activations at 0.
+    cfg = small_config(bucket_count=256, embed_dim=dim)
+    rng = np.random.default_rng(dim)
+    params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(cfg)]
+    emb, w1, b1, w2, b2 = params
+    b1[:8] = 0.0
+    feats = [rng.integers(0, cfg.bucket_count, size=n) for n in [0, *rng.integers(0, 12, size=32)]]
+    y = rng.integers(0, 2, size=(len(feats), 4)).astype(np.float64)
+    e = _pool_all(emb, feats)
+    for x in (e[0], e[1], e[:1], e):
+        h = np.maximum(x @ w1.T + b1, 0.0)
+        assert [a.tobytes() for a in _layers(params, x)] == [h.tobytes(), (h @ w2.T + b2).tobytes()]
+    z1 = e @ w1.T + b1
+    h = np.maximum(z1, 0.0)
+    z2 = h @ w2.T + b2
+    dz2 = (_sigmoid(z2) - y) / z2.size
+    dz1 = (dz2 @ w2) * (z1 > 0)
+    lengths = np.maximum([ids.size for ids in feats], 1)[:, None]
+    want = [(dz1 @ w1) / lengths, dz1.T @ e, dz1.sum(axis=0), dz2.T @ h, dz2.sum(axis=0)]
+    loss, ((_, _, rows), *head_grads) = _backprop(params, feats, y)
+    assert loss == _loss(params, feats, y)
+    assert [a.tobytes() for a in [rows, *head_grads]] == [a.tobytes() for a in want]
 
 
 def test_decode_matches_the_list_decoder_on_every_accept_row():
@@ -205,7 +233,7 @@ def test_predict_decides_on_logits_as_on_clipped_probabilities(monkeypatch):
     # near the threshold; its label sets must be those of the clipped
     # probabilities at every threshold, next to the clip's bounds too.
     logits = []
-    monkeypatch.setattr(model_module, "_layers", lambda params, e: (None, None, np.array(logits)))
+    monkeypatch.setattr(model_module, "_layers", lambda params, e: (None, np.array(logits)))
     clip_logit = math.log(1e-15) - math.log1p(-1e-15)
     for threshold in threshold_grid():
         model = logits_model([0.5] * 4, threshold=threshold)
@@ -249,8 +277,8 @@ def test_predict_never_empty_never_mixes_other(probabilities):
 
 
 def test_targets_for():
-    assert targets_for(LabelSet.of("da", "nn")).tolist() == [1.0, 0.0, 1.0, 0.0]
-    assert targets_for(LabelSet.of("other")).tolist() == [0.0, 0.0, 0.0, 0.0]
+    items = [LabeledSentence("x", LabelSet.of("da", "nn")), LabeledSentence("x", LabelSet.of("other"))]
+    assert _targets(items).tolist() == [[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]
 
 
 def test_targets_stacks_targets_for_rows():
@@ -260,7 +288,7 @@ def test_targets_stacks_targets_for_rows():
     rng = np.random.default_rng(4)
     items = [LabeledSentence("x", choices[i]) for i in rng.integers(len(choices), size=300)]
     assert {item.labels for item in items} == set(choices)
-    expected = np.stack([targets_for(item.labels) for item in items])
+    expected = np.array([[lang in item.labels for lang in OUTPUT_ORDER] for item in items], dtype=np.float64)
     assert _targets(items).dtype == expected.dtype
     assert _targets(items).tobytes() == expected.tobytes()
     assert _targets([]).shape == (0, 4)
@@ -316,7 +344,7 @@ def gradient_check(fcfg, batch, seed=0, step=1e-4):
     margin = 8.0 * step
     for _ in range(1000):
         params = [rng.uniform(-1, 1, size=shape) for shape in _shapes(fcfg)]
-        z1, _, _ = _layers(params, _pool_all(params[0], feats))
+        z1 = _pool_all(params[0], feats) @ params[1].T + params[2]  # the hidden pre-activation
         if np.abs(z1).min() > margin:
             break
     else:  # pragma: no cover - would need absurdly unlucky sampling
@@ -354,7 +382,7 @@ def test_gradient_check_rejects_large_models():
 def test_untouched_embedding_rows_have_zero_gradient():
     cfg = small_config()
     feats = [featurize(item.text, cfg) for item in GRADCHECK_BATCH]
-    y = np.stack([targets_for(item.labels) for item in GRADCHECK_BATCH])
+    y = _targets(GRADCHECK_BATCH)
     params, _ = _init_params(cfg, np.random.default_rng(5), np.arange(cfg.bucket_count))
     _, grads = loss_and_grads(params, feats, y)
     touched = set(np.concatenate(feats).tolist())
@@ -505,8 +533,8 @@ def test_duplicated_sample_gradient_linearity():
     item = GRADCHECK_BATCH[1]
     feats1 = [featurize(item.text, cfg)]
     feats2 = feats1 * 2
-    y1 = np.stack([targets_for(item.labels)])
-    y2 = np.stack([targets_for(item.labels)] * 2)
+    y1 = _targets([item])
+    y2 = _targets([item] * 2)
     params, _ = _init_params(cfg, np.random.default_rng(8), np.arange(cfg.bucket_count))
     loss1, g1 = loss_and_grads(params, feats1, y1)
     loss2, g2 = loss_and_grads(params, feats2, y2)
@@ -528,14 +556,14 @@ def test_exact_match_counts_what_decoded_label_sets_count():
     params[3][1] = 0.0  # nb's logit is 0, its probability exactly 0.5
     params[4][1] = 0.0
     feats = [rng.integers(0, cfg.bucket_count, size=rng.integers(0, 6)) for _ in range(1000)]
-    p = _sigmoid(_layers(params, _pool_all(params[0], feats))[2])
+    p = _sigmoid(_layers(params, _pool_all(params[0], feats))[1])
     choices = [LabelSet.of(*tags) for tags in [("other",), ("da",), ("nb",), ("nn", "sv"), ("da", "nb", "nn", "sv")]]
     saw_other = False
     for threshold in [0.5, float(p[7, 2]), float(np.quantile(p, 0.8))]:
         decoded = [_decode(row) for row in p >= threshold]
         gold = [d if rng.random() < 0.5 else choices[rng.integers(len(choices))] for d in decoded]
         hits = sum(d == g for d, g in zip(decoded, gold))
-        y = np.stack([targets_for(g) for g in gold])
+        y = _targets([LabeledSentence("x", g) for g in gold])
         assert _validation_metric(params, feats, y, threshold) == hits / len(gold)
         assert 0 < hits < len(gold)
         saw_other |= any(d.is_other for d in decoded)
@@ -554,7 +582,7 @@ def test_validation_decides_as_predict_does_where_the_clip_decides(threshold, lo
     params = [np.zeros(shape) for shape in _shapes(cfg)]
     params[4][:] = logit
     assert predict(FastModel(cfg, *params, threshold=threshold), "x") == served
-    y = targets_for(served)[None, :]
+    y = _targets([LabeledSentence("x", served)])
     assert _validation_metric(params, [featurize("x", cfg)], y, threshold) == 1.0
 
 
@@ -702,7 +730,7 @@ def kernel_rtol(texts, fcfg, tcfg):
     of their magnitudes from the exact one (Higham, (4.4), as `sum_bound`),
     so two orders within 2 gamma_K. K is the longest sum of a step: one
     sentence's pool, or an inner dimension of `_layers`' and `_backprop`'s
-    matmuls. A loss is a mean of positive terms, so the bound is taken
+    products. A loss is a mean of positive terms, so the bound is taken
     relative to it. It bounds one step's reordering; a run carries each
     step's rounding on in its weights, which this test checks stays small."""
     longest = max(ids.size for ids in featurize_many(texts, fcfg))
@@ -793,7 +821,7 @@ def zero_rate_step_losses(fit, cfg, tcfg):
     rng = np.random.default_rng(tcfg.seed)
     params, _ = _init_params(cfg, rng, np.arange(cfg.bucket_count))
     feats = featurize_many([item.text for item in fit], cfg)
-    y = np.array([targets_for(item.labels) for item in fit])
+    y = _targets(fit)
     losses = []
     for _ in range(tcfg.epochs):
         order = rng.permutation(len(fit))
@@ -1097,8 +1125,9 @@ def test_weights_of_a_model_built_from_arrays_refuse_writeable(tiny_corpus):
 
 def test_training_casts_every_checkpoint_into_one_set_of_float32_arrays(tiny_corpus, monkeypatch):
     # The float32 arrays are made before the first evaluation and reused
-    # at every better one; the model copies them after the loop, so its
-    # weights share no memory with them and cannot be made writeable.
+    # at every better one; the model adopts them after the loop, as views
+    # that cannot be made writeable. This test's spy is the only other
+    # holder of the arrays themselves.
     fit, valid, _ = tiny_corpus
     cfg = FeaturizerConfig(bucket_count=1 << 12, embed_dim=16)
     checkpoint, returned = model_module._checkpoint, []
@@ -1115,16 +1144,15 @@ def test_training_casts_every_checkpoint_into_one_set_of_float32_arrays(tiny_cor
     for name, arr in zip(_ARRAY_NAMES, first):
         weight = getattr(result.model, name)
         assert arr.dtype == np.float32 and weight.tobytes() == arr.tobytes()
-        assert not np.shares_memory(weight, arr)
+        assert np.shares_memory(weight, arr)
         with pytest.raises(ValueError, match="WRITEABLE"):
             weight.flags.writeable = True
 
 
-def test_training_holds_no_float64_copy_of_the_table(tiny_corpus):
-    # Training holds the float32 table and float64 rows for the touched
-    # buckets only (12,756 of 262,144 here); the model's copy of the table
-    # is made after the float64 weights are dropped. A float64 copy of the
-    # whole table would add twice the table's bytes.
+@pytest.fixture(scope="module")
+def train_peak_in_tables(tiny_corpus):
+    """tracemalloc's peak over a one-epoch `train` at 2^18 buckets and
+    width 32, as a multiple of the float32 table's bytes."""
     fit, valid, _ = tiny_corpus
     cfg = FeaturizerConfig(embed_dim=32)
     tracemalloc.start()
@@ -1135,7 +1163,21 @@ def test_training_holds_no_float64_copy_of_the_table(tiny_corpus):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * cfg.bucket_count * cfg.embed_dim * 4
+    return peak / (cfg.bucket_count * cfg.embed_dim * 4)
+
+
+def test_training_holds_no_float64_copy_of_the_table(train_peak_in_tables):
+    # Training holds the float32 table and float64 rows for the touched
+    # buckets only (12,756 of 262,144 here). A float64 copy of the whole
+    # table would add twice the table's bytes.
+    assert train_peak_in_tables < 2.5
+
+
+def test_trained_model_adopts_the_table_training_built(train_peak_in_tables):
+    # `train` hands its float32 arrays to the model, which copies none of
+    # them, so the table is held once. A copy would add the table's bytes
+    # again: 2.06 times them when the model copied the table.
+    assert train_peak_in_tables < 1.5
 
 
 def test_model_casts_float64_weights_with_one_copy():
