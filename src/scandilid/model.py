@@ -47,9 +47,9 @@ reduction along axis 0 runs an inner loop of `embed_dim` elements per row;
 `_pool` takes the cached int32 ids (`features._ids`), with no int64 copy,
 and `_pool_all` sums a batch in one loop and divides it by its lengths
 once: `_pool`'s bits. The kernel picks its summation order, so trained
-bits depend on the BLAS build. A served float32 table's
-rows sum exactly in float64, in any order, while every partial sum stays below 2^29 times the
-smallest nonzero magnitude among them. `take` has a slow path for float32
+bits depend on the BLAS build. A served float32 table's rows sum exactly
+in float64, in any order, while every partial sum stays below 2^29 times
+the smallest nonzero magnitude among them. `take` has a slow path for float32
 rows off a 4-byte boundary, so `FastModel` holds only aligned arrays, and
 `save_model` pads the file's header so that its arrays start on one.
 `FastModel` holds a float64 copy of the head for serving, cast once and
@@ -197,7 +197,7 @@ def _frozen(value: np.ndarray | _HandedOver, dtype: type) -> np.ndarray:
     return _read_only(buf)
 
 
-def _on_bytearray(shape: tuple[int, ...], dtype: type = np.float32) -> np.ndarray:
+def _on_bytearray(shape: tuple[int, ...], dtype: type = np.float32) -> np.ndarray:  # zeros, writeable
     return np.frombuffer(bytearray(math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
 
 
@@ -356,7 +356,7 @@ def _backprop(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.n
     loss = _bce_from_logits(z2, y)
 
     dz2 = (_sigmoid(z2) - y) / z2.size
-    dz1 = np.dot(dz2, w2) * (h > 0)  # h > 0 where the pre-activation is, NaN and -0 included
+    dz1 = np.dot(dz2, w2) * (h > 0)  # exactly where the pre-activation is > 0, NaN and -0 included
     de = np.dot(dz1, w1)
     lengths = np.array([ids.size for ids in feats])
     emb_grad = (np.concatenate(feats), lengths, de / np.maximum(lengths, 1)[:, None])

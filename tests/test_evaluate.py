@@ -74,7 +74,8 @@ def test_silver_labels_teach_what_single_labels_cannot(tmp_path):
     vocabularies = tmp_path / "vocabularies.json"
     vocabularies.write_text(json.dumps({lang.value: corpus.vocabularies[lang] for lang in SCANDINAVIAN}))
     command = f"{shlex.quote(sys.executable)} {shlex.quote(str(TRANSLATOR))} {shlex.quote(str(vocabularies))}"
-    fit, valid = corpus.train.with_items(corpus.train.items[:1500]), corpus.train.with_items(corpus.train.items[1500:])
+    fit = corpus.train.with_items(corpus.train.items[:1500])
+    valid = corpus.train.with_items(corpus.train.items[1500:])
     silver_sets = []
     for dataset in (fit, valid):
         records, failures = generate_translations(dataset, SCANDINAVIAN, command)
@@ -83,7 +84,9 @@ def test_silver_labels_teach_what_single_labels_cannot(tmp_path):
     assert [item.labels for item in silver_sets[0]] == list(corpus.train_gold[:1500])
 
     fcfg = FeaturizerConfig(bucket_count=1 << 16, embed_dim=8)
-    tcfg = TrainConfig(epochs=64, batch_size=32, learning_rate=0.5, momentum=0.9, seed=42, eval_interval=200, patience=20)
+    tcfg = TrainConfig(
+        epochs=64, batch_size=32, learning_rate=0.5, momentum=0.9, seed=42, eval_interval=200, patience=20,
+    )
     scores = {}
     for name, (train_set, valid_set) in (("single", (fit, valid)), ("silver", silver_sets)):
         model = train(train_set, valid_set, fcfg, tcfg).model
