@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import DataError, Dataset, LabeledSentence, LabelSet, _check_real
-from .ingest import read_jsonl, typed_field
+from .core import DataError, Dataset, LabeledSentence, LabelSet, _check_int, _check_real, _check_str
+from .ingest import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -41,10 +41,7 @@ class PunctConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # An exact int, as in TrainConfig: the seed is formatted into a
-        # string, so 1.0 and True would draw other augmentations than 1.
-        if type(self.seed) is not int:
-            raise TypeError(f"seed must be int, got {self.seed!r}")
+        _check_int("seed", self.seed)
         for name in ("rate", "space_prob"):
             _check_real(name, getattr(self, name))
         if not 0.0 <= self.rate <= 1.0:
@@ -126,9 +123,8 @@ class EntityAnnotation:
 
     def __post_init__(self) -> None:
         for name in ("sentence_index", "start", "end"):
-            value = getattr(self, name)
-            if type(value) is not int:  # as TranslationRecord.item_index
-                raise TypeError(f"{name} must be int, got {value!r}")
+            _check_int(name, getattr(self, name))
+        _check_str("surface", self.surface)
         if self.category not in ENTITY_CATEGORIES:
             raise DataError(
                 f"unknown entity category {self.category!r} (expected one of {ENTITY_CATEGORIES})"
@@ -138,8 +134,7 @@ class EntityAnnotation:
 
 
 def _parse_annotation(r: dict) -> EntityAnnotation:
-    positions = (typed_field(r, name, int) for name in ("sentence_index", "start", "end"))
-    return EntityAnnotation(*positions, typed_field(r, "category", str), typed_field(r, "surface", str))
+    return EntityAnnotation(r["sentence_index"], r["start"], r["end"], r["category"], r["surface"])
 
 
 def read_entity_annotations(path: Path | str) -> list[EntityAnnotation]:
@@ -156,8 +151,7 @@ def ner_swap(dataset: Dataset, annotations: Sequence[EntityAnnotation], seed: in
     and all labels stay byte-identical.
     """
     _refuse_protected_split(dataset, "ner_swap")
-    if type(seed) is not int:  # as in PunctConfig
-        raise TypeError(f"seed must be int, got {seed!r}")
+    _check_int("seed", seed)
 
     categories = {a.category for a in annotations}
     inventories = {c: sorted({a.surface for a in annotations if a.category == c}) for c in categories}

@@ -30,6 +30,24 @@ def _check_real(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_int(name: str, value: int) -> int:
+    """`value` if it is exactly an int: a bool is not one."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be int, got {value!r}")
+    return value
+
+
+def _check_str(name: str, value: str) -> None:
+    """Raise unless `value` is a str that encodes as UTF-8, which one holding
+    a lone surrogate (as from a JSON ``"\\ud800"`` escape) does not."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be str, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise DataError(f"{name} does not encode as UTF-8: {value[e.start]!r} at index {e.start}") from None
+
+
 class Language(Enum):
     """The four Scandinavian written standards plus the catch-all tag."""
 
@@ -126,10 +144,11 @@ class LabeledSentence:
     source: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            raise TypeError(f"sentence text must be str, got {self.text!r}")
+        _check_str("sentence text", self.text)
         if not isinstance(self.labels, LabelSet):
             raise TypeError(f"labels must be a LabelSet, got {self.labels!r}")
+        if self.source is not None:
+            _check_str("source", self.source)
         if not self.text.strip():
             raise DataError("sentence text must be non-empty after trimming whitespace")
 

@@ -39,11 +39,13 @@ from __future__ import annotations
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+
+from .core import _check_int
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -65,13 +67,10 @@ class FeaturizerConfig:
     embed_dim: int = 32
 
     def __post_init__(self) -> None:
-        # Exact type checks, because bool is a subclass of int; a float
-        # field would otherwise fail later, inside featurize.
-        for field in fields(self):
-            kind = bool if field.name == "include_word_unigrams" else int
-            value = getattr(self, field.name)
-            if type(value) is not kind:
-                raise TypeError(f"{field.name} must be {kind.__name__}, got {value!r}")
+        for name in ("min_n", "max_n", "bucket_count", "embed_dim"):
+            _check_int(name, getattr(self, name))
+        if not isinstance(self.include_word_unigrams, bool):
+            raise TypeError(f"include_word_unigrams must be bool, got {self.include_word_unigrams!r}")
         if not 1 <= self.min_n <= self.max_n <= 8:
             raise ValueError(f"need 1 <= min_n <= max_n <= 8, got [{self.min_n}, {self.max_n}]")
         # At most 2^31 buckets, so every masked id fits the cache's int32.

@@ -2,8 +2,9 @@
 
 JSONL is the interchange format everywhere, and only this module reads
 or writes it: one UTF-8 JSON object per line, ``\\n`` line ends, blank
-lines skipped. Field types are exact (a boolean is not an integer, nor
-is ``0.0``); a ``?`` field is optional, and absent or null means None.
+lines skipped. Each record's constructor enforces the exact field types
+(a boolean is not an integer, nor is ``0.0``); a ``?`` field is optional,
+and absent or null means None.
 
 - dataset item: ``text`` string, ``labels`` list of tags (written in
   canonical order), ``source?`` string;
@@ -36,6 +37,7 @@ from .core import (
     LabeledSentence,
     LabelSet,
     Language,
+    _check_int,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,8 +105,9 @@ class LabelDistribution:
 def parse_conllu(stream: Iterable[str]) -> list[str]:
     """Extract the `# text = ...` payload of every sentence block.
 
-    Blocks are separated by blank lines. Blocks without a text comment
-    are skipped; the skip count is logged as a warning.
+    Blocks are separated by blank lines. Blocks without a text comment,
+    or whose first one is blank, are skipped; the skip count is logged
+    as a warning.
     """
     texts: list[str] = []
     skipped = 0
@@ -113,23 +116,14 @@ def parse_conllu(stream: Iterable[str]) -> list[str]:
         if blank:
             continue
         found = [line[len(_TEXT_PREFIX):] for line in block if line.startswith(_TEXT_PREFIX)]
-        if found:
+        if found and found[0].strip():
             texts.append(found[0])
         else:
             skipped += 1
 
     if skipped:
-        logger.warning("skipped %d CoNLL-U block(s) without a '# text =' comment", skipped)
+        logger.warning("skipped %d CoNLL-U block(s) without a non-blank '# text =' comment", skipped)
     return texts
-
-
-def typed_field(record: dict, name: str, kind: type, optional: bool = False):
-    """``record[name]`` if its type is exactly ``kind`` (a bool is not an int);
-    KeyError if a required field is missing, None for an absent optional one."""
-    value = record.get(name) if optional else record[name]
-    if (value is not None or not optional) and type(value) is not kind:
-        raise DataError(f"{name!r} must be {kind.__name__}, found {type(value).__name__}")
-    return value
 
 
 def _read_lines(path: Path | str) -> list[str]:
@@ -149,7 +143,8 @@ def _read_lines(path: Path | str) -> list[str]:
 def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` of each non-blank line's JSON object, in file order. Invalid
     UTF-8 or JSON, a non-object, a missing field (``KeyError`` from ``parse``)
-    or a bad value (``DataError``) raises DatasetFormatError naming path:line."""
+    or a bad value (``TypeError`` or ``DataError``) raises DatasetFormatError
+    naming path:line."""
     out: list[T] = []
     for lineno, line in enumerate(_read_lines(path), 1):
         if not line.strip():
@@ -165,7 +160,7 @@ def read_jsonl(path: Path | str, parse: Callable[[dict], T]) -> list[T]:
             out.append(parse(record))
         except KeyError as e:
             raise DatasetFormatError(f"{where}: missing field {e}") from None
-        except DataError as e:
+        except (TypeError, DataError) as e:
             raise DatasetFormatError(f"{where}: {e}") from None
     return out
 
@@ -178,11 +173,10 @@ def write_jsonl(records: Iterable[dict], path: Path | str) -> None:
 
 
 def _parse_item(record: dict) -> LabeledSentence:
-    return LabeledSentence(
-        typed_field(record, "text", str),
-        LabelSet.of(*typed_field(record, "labels", list)),
-        typed_field(record, "source", str, optional=True),
-    )
+    labels = record["labels"]
+    if not isinstance(labels, list):  # LabelSet.of(*labels) would take an object's keys
+        raise TypeError(f"labels must be a list, got {labels!r}")
+    return LabeledSentence(record["text"], LabelSet.of(*labels), record.get("source"))
 
 
 def _item_record(item: LabeledSentence) -> dict:
@@ -229,14 +223,9 @@ def compose_training_set(
     bit-for-bit). Sampled items keep their original positions.
     Duplicate texts survive unless ``dedupe`` is set.
     """
-    # Exact ints, as every seed is checked: True would draw seed 1's sample.
-    if type(seed) is not int:
-        raise TypeError(f"seed must be int, got {seed!r}")
-    if other_sample_size is not None:
-        if type(other_sample_size) is not int:
-            raise TypeError(f"other_sample_size must be int or None, got {other_sample_size!r}")
-        if other_sample_size < 0:
-            raise ValueError(f"other_sample_size must be >= 0, got {other_sample_size}")
+    _check_int("seed", seed)
+    if other_sample_size is not None and _check_int("other_sample_size", other_sample_size) < 0:
+        raise ValueError(f"other_sample_size must be >= 0, got {other_sample_size}")
     extracted = [_extract_source(s) for s in sources]
     items: list[LabeledSentence] = [item for chunk in extracted for item in chunk]
 

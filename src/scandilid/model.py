@@ -90,7 +90,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language, _check_real
+from .core import SCANDINAVIAN, Dataset, LabeledSentence, LabelSet, Language, _check_int, _check_real
 from .features import FeaturizerConfig, _ids, featurize_many
 
 logger = logging.getLogger(__name__)
@@ -388,11 +388,8 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self) -> None:
-        # Exact type checks, as in FeaturizerConfig: bool is a subclass of int.
         for name in ("epochs", "batch_size", "seed", "eval_interval", "patience"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be int, got {value!r}")
+            _check_int(name, getattr(self, name))
         if self.epochs < 1 or self.batch_size < 1 or self.eval_interval < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, eval_interval and patience must be positive")
         if self.seed < 0:  # np.random.default_rng refuses a negative seed

@@ -48,8 +48,10 @@ from .core import (
     LabeledSentence,
     LabelSet,
     Language,
+    _check_int,
+    _check_str,
 )
-from .ingest import read_jsonl, typed_field, write_jsonl
+from .ingest import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +65,9 @@ class TranslationRecord:
     translation: str
 
     def __post_init__(self) -> None:
-        # An exact int, as seeds are: bool is a subclass of int, and True indexes item 1.
-        if type(self.item_index) is not int:
-            raise TypeError(f"item_index must be int, got {self.item_index!r}")
+        _check_int("item_index", self.item_index)
         _check_target(self.target)
+        _check_str("translation", self.translation)
 
 
 def _check_target(target: Language) -> None:
@@ -147,8 +148,7 @@ def extend_labels(
 
 
 def _parse_translation(r: dict) -> TranslationRecord:
-    target = Language.from_tag(typed_field(r, "target", str))
-    return TranslationRecord(typed_field(r, "item_index", int), target, typed_field(r, "translation", str))
+    return TranslationRecord(r["item_index"], Language.from_tag(r["target"]), r["translation"])
 
 
 def read_translation_records(path: Path | str) -> list[TranslationRecord]:

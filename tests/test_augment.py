@@ -268,6 +268,14 @@ def test_entity_annotation_positions_must_be_ints():
                 EntityAnnotation(*args, "person", "Kari")
 
 
+def test_entity_annotation_surface_must_be_str_that_encodes_as_utf8():
+    # ner_swap encodes the surface to compare it with the sentence's bytes.
+    with pytest.raises(TypeError, match="surface must be str"):
+        EntityAnnotation(0, 0, 3, "misc", 123)
+    with pytest.raises(DataError, match="surface does not encode as UTF-8"):
+        EntityAnnotation(0, 0, 3, "misc", "Kar\udc00")
+
+
 def test_ner_swap_refuses_test_split():
     d = make_dataset(1, split="test")
     with pytest.raises(DataError, match="test split"):

@@ -100,6 +100,15 @@ def test_labeled_sentence_rejects_text_and_labels_of_the_wrong_type():
         LabeledSentence(5, LabelSet.of("da"))
     with pytest.raises(TypeError, match="labels must be a LabelSet"):
         LabeledSentence("Hej", "da")
+    with pytest.raises(TypeError, match="source must be str"):
+        LabeledSentence("Hej", LabelSet.of("da"), source=5)
+
+
+def test_labeled_sentence_rejects_text_that_does_not_encode_as_utf8():
+    # A lone surrogate, as a JSON "\ud800" escape yields, could not be written back.
+    for text, source in (("Hej \ud800", None), ("Hej", "\udfff")):
+        with pytest.raises(DataError, match="does not encode as UTF-8"):
+            LabeledSentence(text, LabelSet.of("da"), source)
 
 
 def test_labeled_sentence_keeps_source():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scandilid.core import Dataset, LabeledSentence, LabelSet, Language
+from scandilid.core import CANONICAL_ORDER, SPLITS, DataError, Dataset, LabeledSentence, LabelSet, Language
 from scandilid.ingest import (
     CorpusSource,
     DatasetFormatError,
@@ -16,7 +16,7 @@ from scandilid.ingest import (
     write_dataset,
 )
 from scandilid.augment import read_entity_annotations
-from scandilid.silverlabel import read_translation_records
+from scandilid.silverlabel import TranslationRecord, read_translation_records, write_translation_records
 
 CONLLU_SAMPLE = """\
 # sent_id = dk-001
@@ -44,11 +44,18 @@ def test_parse_conllu_two_minimal_blocks():
 
 
 def test_parse_conllu_skips_blocks_without_text(caplog):
-    stream = io.StringIO("# sent_id = 1\n1\tord\n\n# text = Med tekst.\n")
+    stream = io.StringIO("# sent_id = 1\n1\tord\n\n# text = Med tekst.\n\n# text = \n1\tx\n\n# text = \t \n")
     with caplog.at_level("WARNING"):
         texts = parse_conllu(stream)
     assert texts == ["Med tekst."]
-    assert "skipped 1" in caplog.text
+    assert "skipped 3" in caplog.text
+
+
+def test_compose_skips_a_blank_conllu_text_comment(tmp_path):
+    p = tmp_path / "nb.conllu"
+    p.write_text("# text = \n1\tx\n\n# text = Hei.\n1\ty\n", encoding="utf-8")
+    composed = compose_training_set([CorpusSource(p, "conllu", LabelSet.of("nb"))], seed=0)
+    assert [item.text for item in composed] == ["Hei."]
 
 
 def test_parse_conllu_takes_first_text_line_per_block():
@@ -113,18 +120,23 @@ def _bad(reader, old, new):
         _bad(read_dataset, '"Hej"', "5"),
         _bad(read_dataset, '["da"]', '"da"'),
         _bad(read_dataset, "]}", '], "source": 1}'),
+        _bad(read_dataset, "]}", '], "source": "\\ud800"}'),
+        _bad(read_dataset, '"Hej"', '"Hej \\ud800"'),
+        _bad(read_dataset, '["da"]', '{"da": 1}'),
         _bad(read_dataset, _GOOD[read_dataset], '["Hej", ["da"]]'),
         _bad(read_translation_records, "0", '"0"'),
         _bad(read_translation_records, "0", "true"),
         _bad(read_translation_records, "0", "0.0"),
         _bad(read_translation_records, '"nb"', "1"),
         _bad(read_translation_records, '"Hei"', "7"),
+        _bad(read_translation_records, '"Hei"', '"\\udc00Hei"'),
         _bad(read_translation_records, _GOOD[read_translation_records], '[0, "nb", "Hei"]'),
         _bad(read_entity_annotations, '"sentence_index": 0', '"sentence_index": true'),
         _bad(read_entity_annotations, '"start": 0', '"start": 0.0'),
         _bad(read_entity_annotations, "4", '"4"'),
         _bad(read_entity_annotations, '"location"', "3"),
         _bad(read_entity_annotations, '"Oslo"', '["Oslo"]'),
+        _bad(read_entity_annotations, '"Oslo"', '"Osl\\ud800"'),
         _bad(read_entity_annotations, _GOOD[read_entity_annotations], '[0, 0, 4, "location", "Oslo"]'),
     ],
 )
@@ -264,7 +276,7 @@ def test_compose_rejects_a_seed_or_sample_size_that_is_not_an_exact_int(tmp_path
         with pytest.raises(TypeError, match="seed must be int"):
             compose_training_set(sources, seed=seed, other_sample_size=2)
     for size in (True, 2.5):
-        with pytest.raises(TypeError, match="other_sample_size must be int or None"):
+        with pytest.raises(TypeError, match="other_sample_size must be int"):
             compose_training_set(sources, seed=0, other_sample_size=size)
     with pytest.raises(ValueError, match="other_sample_size must be >= 0"):
         compose_training_set(sources, seed=0, other_sample_size=-1)
@@ -344,3 +356,33 @@ def test_stats_count_conservation(all_labels):
     assert sum(stats.counts.values()) >= stats.total
     multi = any(len(labels) > 1 for labels in all_labels)
     assert (sum(stats.counts.values()) > stats.total) == multi
+
+
+# Any code point, with lone surrogates, line ends and separators drawn often.
+any_text = st.text(st.characters(exclude_categories=()) | st.sampled_from(" \r\n\x85\u2028\ud800å"), max_size=12)
+
+
+def _accepted(make, *strategies):
+    """What `make` builds from draws of `strategies`, over the draws it accepts."""
+
+    def build(args):
+        try:
+            return make(*args)
+        except (TypeError, DataError):
+            return None
+
+    return st.tuples(*strategies).map(build).filter(lambda value: value is not None)
+
+
+sentences = _accepted(LabeledSentence, any_text, label_sets, st.none() | any_text)
+translations = _accepted(TranslationRecord, st.integers(), st.sampled_from(CANONICAL_ORDER), any_text)
+
+
+@given(st.sampled_from(SPLITS), st.lists(sentences, max_size=4), st.lists(translations, max_size=4))
+def test_every_record_the_constructors_accept_round_trips(tmp_path_factory, split, items, records):
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    dataset = Dataset(split, tuple(items))
+    write_dataset(dataset, path)
+    assert read_dataset(path, split) == dataset
+    write_translation_records(records, path)
+    assert read_translation_records(path) == records

@@ -66,6 +66,21 @@ def test_only_ingest_and_model_import_json():
     assert importers <= {"ingest", "model"}, sorted(importers - {"ingest", "model"})
 
 
+def test_only_core_tests_for_an_exact_int():
+    # The exact-int rule (a bool is not an int) is core._check_int's alone.
+    package = Path(__file__).parent.parent / "src" / "scandilid"
+    checkers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare) or not isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+                continue
+            sides = [node.left, *node.comparators]
+            calls_type = any(isinstance(s, ast.Call) and getattr(s.func, "id", None) == "type" for s in sides)
+            if calls_type and any(isinstance(s, ast.Name) and s.id == "int" for s in sides):
+                checkers.add(path.stem)
+    assert checkers <= {"core"}, sorted(checkers - {"core"})
+
+
 FAILING_AND_PASSING = """
 from hypothesis import given, strategies as st
 

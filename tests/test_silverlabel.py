@@ -125,6 +125,14 @@ def test_record_index_must_be_an_exact_int():
     assert TranslationRecord(1, Language.NB, "x").item_index == 1
 
 
+def test_record_translation_must_be_str_that_encodes_as_utf8():
+    # extend_labels would fail on 7 inside unicodedata.normalize.
+    with pytest.raises(TypeError, match="translation must be str"):
+        TranslationRecord(0, Language.NB, 7)
+    with pytest.raises(DataError, match="translation does not encode as UTF-8"):
+        TranslationRecord(0, Language.NB, "Hei\ud800")
+
+
 label_strategies = st.one_of(
     st.just(LabelSet.of("other")),
     st.sets(st.sampled_from(["da", "nb", "nn", "sv"]), min_size=1, max_size=4).map(
