@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .core import DataError, Dataset, LabeledSentence, LabelSet, _check_int, _check_real, _check_str
+from .core import DataError, Dataset, LabeledSentence, _check_int, _check_real, _check_str
 from .ingest import read_jsonl
 
 logger = logging.getLogger(__name__)
@@ -87,24 +87,18 @@ def punctuation_augment(dataset: Dataset, cfg: PunctConfig) -> Dataset:
     return dataset.with_items(out)
 
 
-def extract_alphabet_variants(
-    sentences: Iterable[str], letters: Iterable[str], label: LabelSet
-) -> Dataset:
-    """Keep only sentences containing at least one of `letters` (case-insensitive).
+def extract_alphabet_variants(dataset: Dataset, letters: Iterable[str]) -> Dataset:
+    """The items whose text contains at least one of `letters`
+    (case-insensitive), in order, each with its own labels and source.
 
-    Used to harvest counter-examples for alphabet shortcuts, e.g.
-    Swedish sentences containing æ/ø, or Norwegian and Danish sentences
-    containing ä/ö, so letter presence alone cannot decide the label.
+    Used to harvest counter-examples for alphabet shortcuts, e.g. a
+    Swedish corpus's sentences containing æ/ø, or a Norwegian or Danish
+    one's containing ä/ö, so letter presence alone cannot decide the label.
     """
     letter_set = {l.lower() for l in letters}
     if not letter_set:
         raise DataError("letters must be non-empty")
-    items = [
-        LabeledSentence(text, label)
-        for text in sentences
-        if any(ch in letter_set for ch in text.lower())
-    ]
-    return Dataset("unsplit", tuple(items))
+    return dataset.with_items([item for item in dataset if any(ch in letter_set for ch in item.text.lower())])
 
 
 @dataclass(frozen=True)

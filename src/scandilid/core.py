@@ -172,6 +172,9 @@ class Dataset:
             raise DataError(f"unknown split {self.split!r} (expected one of {SPLITS})")
         if not isinstance(self.items, tuple):
             object.__setattr__(self, "items", tuple(self.items))
+        for i, item in enumerate(self.items):
+            if not isinstance(item, LabeledSentence):
+                raise TypeError(f"items[{i}] must be a LabeledSentence, got {item!r}")
 
     def __len__(self) -> int:
         return len(self.items)

@@ -14,6 +14,11 @@ and absent or null means None.
   integers (byte offsets into the UTF-8 sentence), ``category`` and
   ``surface`` strings.
 
+Every corpus becomes a Dataset when it is read: ``read_dataset`` for
+JSONL, and ``read_conllu`` and ``read_plaintext`` for raw text, whose
+sentences all get the labels of their source. ``compose_training_set``
+takes Datasets and reads no file.
+
 CoNLL-U files are consumed only for their ``# text = ...`` comments;
 token columns are never reassembled because that would re-introduce
 tokenization artifacts.
@@ -44,35 +49,11 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-FORMATS = ("conllu", "jsonl", "plaintext")
-
 _TEXT_PREFIX = "# text = "
 
 
 class DatasetFormatError(DataError):
     """A dataset file could not be parsed; message carries file:line context."""
-
-
-@dataclass(frozen=True)
-class CorpusSource:
-    """One input corpus and the labels assigned to its sentences.
-
-    For conllu/plaintext sources every extracted sentence receives
-    ``assigned_labels``; jsonl sources carry their own labels and
-    ``assigned_labels`` must be None.
-    """
-
-    path: Path
-    format: str
-    assigned_labels: LabelSet | None = None
-
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise DataError(f"unknown corpus format {self.format!r} (expected one of {FORMATS})")
-        if self.format in ("conllu", "plaintext") and self.assigned_labels is None:
-            raise DataError(f"{self.format} source {self.path} requires assigned labels")
-        if self.format == "jsonl" and self.assigned_labels is not None:
-            raise DataError(f"jsonl source {self.path} carries its own labels")
 
 
 @dataclass
@@ -111,7 +92,7 @@ def parse_conllu(stream: Iterable[str]) -> list[str]:
     """
     texts: list[str] = []
     skipped = 0
-    lines = (line.rstrip("\n") for line in stream)
+    lines = (line.rstrip("\r\n") for line in stream)
     for blank, block in itertools.groupby(lines, key=lambda line: not line.strip()):
         if blank:
             continue
@@ -196,28 +177,30 @@ def write_dataset(dataset: Dataset, path: Path | str) -> None:
     write_jsonl(map(_item_record, dataset), path)
 
 
-def _extract_source(source: CorpusSource) -> list[LabeledSentence]:
-    if source.format == "jsonl":
-        return list(read_dataset(source.path).items)
-    provenance = str(source.path)
-    lines = _read_lines(source.path)
-    if source.format == "conllu":
-        texts = parse_conllu(lines)
-    else:  # plaintext, one sentence per line
-        texts = [line.rstrip("\n") for line in lines if line.strip()]
-    return [LabeledSentence(t, source.assigned_labels, provenance) for t in texts]
+def read_conllu(path: Path | str, labels: LabelSet) -> Dataset:
+    """The file's ``# text =`` sentences (as ``parse_conllu``), each labeled
+    ``labels`` with the path as its source."""
+    texts = parse_conllu(_read_lines(path))
+    return Dataset("unsplit", tuple(LabeledSentence(t, labels, str(path)) for t in texts))
+
+
+def read_plaintext(path: Path | str, labels: LabelSet) -> Dataset:
+    """The file's non-blank lines, one sentence each, labeled ``labels`` with
+    the path as its source."""
+    texts = [line.rstrip("\n") for line in _read_lines(path) if line.strip()]
+    return Dataset("unsplit", tuple(LabeledSentence(t, labels, str(path)) for t in texts))
 
 
 def compose_training_set(
-    sources: Sequence[CorpusSource],
+    corpora: Sequence[Dataset],
     seed: int,
     other_sample_size: int | None = None,
     dedupe: bool = False,
     split: str = "train",
 ) -> Dataset:
-    """Concatenate sources in declared order into one labeled dataset.
+    """Concatenate corpora in declared order into one labeled dataset.
 
-    `other`-labeled sentences from all sources are pooled and, when
+    `other`-labeled sentences from all corpora are pooled and, when
     ``other_sample_size`` is given, sampled uniformly without
     replacement (seeded, so the composition is reproducible
     bit-for-bit). Sampled items keep their original positions.
@@ -226,8 +209,7 @@ def compose_training_set(
     _check_int("seed", seed)
     if other_sample_size is not None and _check_int("other_sample_size", other_sample_size) < 0:
         raise ValueError(f"other_sample_size must be >= 0, got {other_sample_size}")
-    extracted = [_extract_source(s) for s in sources]
-    items: list[LabeledSentence] = [item for chunk in extracted for item in chunk]
+    items = [item for corpus in corpora for item in corpus]
 
     other_positions = [i for i, item in enumerate(items) if item.labels.is_other]
     if other_sample_size is not None and other_sample_size < len(other_positions):

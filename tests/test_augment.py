@@ -128,41 +128,48 @@ def test_invalid_config_rejected():
             PunctConfig(**{name: value})
 
 
+def corpus(texts, tag):
+    return Dataset("unsplit", [LabeledSentence(text, LabelSet.of(tag)) for text in texts])
+
+
 def test_alphabet_variants_keeps_swedish_letters_in_norwegian_text():
-    kept = extract_alphabet_variants(
-        ["Malmö ligger i Sverige", "Oslo ligger i Norge"],
-        {"ä", "ö"},
-        LabelSet.of("nb"),
-    )
+    kept = extract_alphabet_variants(corpus(["Malmö ligger i Sverige", "Oslo ligger i Norge"], "nb"), {"ä", "ö"})
     assert [it.text for it in kept] == ["Malmö ligger i Sverige"]
     assert kept[0].labels == LabelSet.of("nb")
 
 
 def test_alphabet_variants_swedish_corpus_with_danish_letters():
-    kept = extract_alphabet_variants(["Besök Ørsted"], {"æ", "ø"}, LabelSet.of("sv"))
+    kept = extract_alphabet_variants(corpus(["Besök Ørsted"], "sv"), {"æ", "ø"})
     assert len(kept) == 1
     assert kept[0].labels == LabelSet.of("sv")
 
 
 def test_alphabet_variants_case_insensitive():
-    kept = extract_alphabet_variants(["ÄLGEN kommer"], {"ä"}, LabelSet.of("nn"))
+    kept = extract_alphabet_variants(corpus(["ÄLGEN kommer"], "nn"), {"ä"})
     assert len(kept) == 1
 
 
 def test_alphabet_variants_requires_letters():
     with pytest.raises(DataError):
-        extract_alphabet_variants(["x"], set(), LabelSet.of("sv"))
+        extract_alphabet_variants(corpus(["x"], "sv"), set())
 
 
-def test_alphabet_variants_rejects_a_label_that_is_not_a_label_set():
-    # A str label once built a dataset that failed only when written.
-    with pytest.raises(TypeError, match="labels must be a LabelSet"):
-        extract_alphabet_variants(["Hej då"], "å", "sv")
+def test_alphabet_variants_keeps_each_items_labels_and_source():
+    mixed = Dataset(
+        "train",
+        (
+            LabeledSentence("Malmö", LabelSet.of("sv"), "sv_talbanken"),
+            LabeledSentence("Oslo", LabelSet.of("nb"), "nb_bokmaal"),
+            LabeledSentence("Tromsø og Malmö", LabelSet.of("nb", "nn")),
+        ),
+    )
+    kept = extract_alphabet_variants(mixed, "öø")
+    assert kept == Dataset("train", (mixed[0], mixed[2]))
 
 
 @given(st.lists(st.sampled_from(["på æble", "uten treff", "møte", "ren tekst"]), max_size=30))
 def test_alphabet_variants_output_is_subsequence(sentences):
-    kept = [it.text for it in extract_alphabet_variants(sentences, {"æ", "ø"}, LabelSet.of("sv"))]
+    kept = [it.text for it in extract_alphabet_variants(corpus(sentences, "sv"), {"æ", "ø"})]
     it = iter(sentences)
     assert all(any(k == s for s in it) for k in kept)  # kept preserves input order
 
@@ -266,6 +273,12 @@ def test_entity_annotation_positions_must_be_ints():
         for args in ((position, 0, 4), (0, position, 4), (0, 0, position)):
             with pytest.raises(TypeError, match="must be int"):
                 EntityAnnotation(*args, "person", "Kari")
+
+
+def test_entity_annotation_rejects_an_empty_or_negative_span():
+    for start, end in ((3, 3), (4, 3), (-1, 3)):
+        with pytest.raises(DataError, match=rf"invalid span \[{start}, {end}\)"):
+            EntityAnnotation(0, start, end, "person", "Kari")
 
 
 def test_entity_annotation_surface_must_be_str_that_encodes_as_utf8():

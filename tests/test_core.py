@@ -60,6 +60,12 @@ def test_construction_rejects_exclusivity_violation_directly():
     # The invariant is structural: no way to build an invalid set.
     with pytest.raises(LabelError):
         LabelSet(frozenset({Language.OTHER, Language.SV}))
+    with pytest.raises(LabelError, match="not a Language: 'sv'"):
+        LabelSet(frozenset({"sv"}))
+    # A plain set is frozen, so the label set stays hashable.
+    labels = LabelSet({Language.SV, Language.DA})
+    assert labels == LabelSet.of("da", "sv")
+    assert isinstance(labels.languages, frozenset) and hash(labels) == hash(LabelSet.of("sv", "da"))
 
 
 def test_with_language_is_monotone():
@@ -129,3 +135,7 @@ def test_dataset_preserves_order():
     assert [it.text for it in d] == [f"sentence {i}" for i in range(5)]
     assert len(d) == 5
     assert d[2].text == "sentence 2"
+    assert Dataset("train", list(items)) == d
+    # A bare string would fail only later, in write_dataset or train.
+    with pytest.raises(TypeError, match=r"items\[1\] must be a LabeledSentence, got 'hej med dig'"):
+        Dataset("train", [items[0], "hej med dig"])

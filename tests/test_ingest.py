@@ -1,4 +1,5 @@
 import io
+import json
 import re
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 
 from scandilid.core import CANONICAL_ORDER, SPLITS, DataError, Dataset, LabeledSentence, LabelSet, Language
 from scandilid.ingest import (
-    CorpusSource,
     DatasetFormatError,
     compose_training_set,
     dataset_stats,
     parse_conllu,
+    read_conllu,
     read_dataset,
+    read_plaintext,
     write_dataset,
 )
 from scandilid.augment import read_entity_annotations
@@ -32,6 +34,8 @@ CONLLU_SAMPLE = """\
 
 def test_parse_conllu_extracts_text_comments():
     assert parse_conllu(io.StringIO(CONLLU_SAMPLE)) == ["- Gerne.", "Det er fint."]
+    # A stream that does not translate line ends still yields no \r.
+    assert parse_conllu(io.StringIO("# text = a b\r\n1\tx\r\n")) == ["a b"]
 
 
 def test_parse_conllu_empty_stream():
@@ -54,7 +58,7 @@ def test_parse_conllu_skips_blocks_without_text(caplog):
 def test_compose_skips_a_blank_conllu_text_comment(tmp_path):
     p = tmp_path / "nb.conllu"
     p.write_text("# text = \n1\tx\n\n# text = Hei.\n1\ty\n", encoding="utf-8")
-    composed = compose_training_set([CorpusSource(p, "conllu", LabelSet.of("nb"))], seed=0)
+    composed = compose_training_set([read_conllu(p, LabelSet.of("nb"))], seed=0)
     assert [item.text for item in composed] == ["Hei."]
 
 
@@ -152,7 +156,8 @@ def test_readers_reject_malformed_records_with_line_number(tmp_path, reader, bad
 def _read_source(path, fmt):
     if fmt == "jsonl":
         return list(read_dataset(path))
-    return list(compose_training_set([CorpusSource(path, fmt, LabelSet.of("da"))], seed=0))
+    reader = {"conllu": read_conllu, "plaintext": read_plaintext}[fmt]
+    return list(reader(path, LabelSet.of("da")))
 
 
 @pytest.mark.parametrize(
@@ -169,6 +174,15 @@ def test_non_utf8_byte_names_file_and_line(tmp_path, fmt, first_line, second_lin
     p.write_bytes(first_line + second_line)
     with pytest.raises(DatasetFormatError, match=re.escape(f"{p}:2:")):
         _read_source(p, fmt)
+
+
+def test_readers_reject_a_label_that_is_not_a_label_set(tmp_path):
+    # A str label would build items that fail only when written.
+    p = tmp_path / "sv.txt"
+    p.write_text("# text = Hej då\n", encoding="utf-8")
+    for reader in (read_conllu, read_plaintext):
+        with pytest.raises(TypeError, match="labels must be a LabelSet"):
+            reader(p, "sv")
 
 
 def test_line_ends_are_universal_newlines(tmp_path):
@@ -225,8 +239,7 @@ def bokmal_conllu(tmp_path):
 
 
 def test_compose_single_conllu_source(bokmal_conllu):
-    source = CorpusSource(bokmal_conllu, "conllu", LabelSet.of("nb"))
-    d = compose_training_set([source], seed=7)
+    d = compose_training_set([read_conllu(bokmal_conllu, LabelSet.of("nb"))], seed=7)
     assert d.split == "train"
     assert len(d) == 3
     assert all(item.labels == LabelSet.of("nb") for item in d)
@@ -236,10 +249,7 @@ def test_compose_single_conllu_source(bokmal_conllu):
 def test_compose_is_byte_reproducible(bokmal_conllu, tmp_path):
     other = tmp_path / "other.txt"
     other.write_text("\n".join(f"otherish {i}" for i in range(10)) + "\n", encoding="utf-8")
-    sources = [
-        CorpusSource(bokmal_conllu, "conllu", LabelSet.of("nb")),
-        CorpusSource(other, "plaintext", LabelSet.of("other")),
-    ]
+    sources = [read_conllu(bokmal_conllu, LabelSet.of("nb")), read_plaintext(other, LabelSet.of("other"))]
     out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_dataset(compose_training_set(sources, seed=3, other_sample_size=4), out_a)
     write_dataset(compose_training_set(sources, seed=3, other_sample_size=4), out_b)
@@ -254,9 +264,9 @@ def test_compose_other_sampling_without_replacement(tmp_path):
     sv = tmp_path / "sv.txt"
     sv.write_text("svensk mening\n", encoding="utf-8")
     sources = [
-        CorpusSource(other_a, "plaintext", LabelSet.of("other")),
-        CorpusSource(sv, "plaintext", LabelSet.of("sv")),
-        CorpusSource(other_b, "plaintext", LabelSet.of("other")),
+        read_plaintext(other_a, LabelSet.of("other")),
+        read_plaintext(sv, LabelSet.of("sv")),
+        read_plaintext(other_b, LabelSet.of("other")),
     ]
     d = compose_training_set(sources, seed=11, other_sample_size=5)
     others = [item.text for item in d if item.labels.is_other]
@@ -268,10 +278,29 @@ def test_compose_other_sampling_without_replacement(tmp_path):
     assert others == sorted(others, key=pool.index)
 
 
+def test_compose_samples_other_across_in_memory_jsonl_and_plaintext_corpora(tmp_path):
+    jsonl, plain = tmp_path / "d.jsonl", tmp_path / "other.txt"
+    in_memory = Dataset("unsplit", [LabeledSentence("Hei på deg", LabelSet.of("nb"), "mem")])
+    rows = "".join(f'{{"text": "json {i}", "labels": ["other"]}}\n' for i in range(4))
+    jsonl.write_text('{"text": "Hej med dig", "labels": ["da"]}\n' + rows, encoding="utf-8")
+    plain.write_text("".join(f"plain {i}\n" for i in range(4)), encoding="utf-8")
+    corpora = [in_memory, read_dataset(jsonl), read_plaintext(plain, LabelSet.of("other"))]
+    every = [item for corpus in corpora for item in corpus]
+    origins = set()
+    for seed in range(10):
+        d = compose_training_set(corpora, seed=seed, other_sample_size=3)
+        others = {item.text for item in d if item.labels.is_other}
+        assert len(others) == 3
+        # The items are the corpora's own, in their order, sources included.
+        assert list(d) == [item for item in every if not item.labels.is_other or item.text in others]
+        origins |= {text.split()[0] for text in others}
+    assert origins == {"json", "plain"}
+
+
 def test_compose_rejects_a_seed_or_sample_size_that_is_not_an_exact_int(tmp_path):
     other = tmp_path / "other.txt"
     other.write_text("a\nb\nc\nd\n", encoding="utf-8")
-    sources = [CorpusSource(other, "plaintext", LabelSet.of("other"))]
+    sources = [read_plaintext(other, LabelSet.of("other"))]
     for seed in (True, 1.5):
         with pytest.raises(TypeError, match="seed must be int"):
             compose_training_set(sources, seed=seed, other_sample_size=2)
@@ -286,7 +315,7 @@ def test_compose_rejects_a_seed_or_sample_size_that_is_not_an_exact_int(tmp_path
 def test_compose_keeps_duplicates_unless_dedupe(tmp_path):
     p = tmp_path / "dup.txt"
     p.write_text("samma mening\nsamma mening\n", encoding="utf-8")
-    source = CorpusSource(p, "plaintext", LabelSet.of("sv"))
+    source = read_plaintext(p, LabelSet.of("sv"))
     assert len(compose_training_set([source], seed=0)) == 2
     assert len(compose_training_set([source], seed=0, dedupe=True)) == 1
 
@@ -304,6 +333,17 @@ def test_dataset_stats_counts_multi_label_once_per_language():
     assert stats.counts[Language.DA] == 1
     assert stats.counts[Language.SV] == 0
     assert stats.total == 2
+
+
+def test_label_distribution_to_dict_is_json_in_canonical_order():
+    d = Dataset("train", [LabeledSentence("to", LabelSet.of("sv", "da")), LabeledSentence("x", LabelSet.of("other"))])
+    record = json.loads(json.dumps(dataset_stats(d).to_dict()))
+    assert record == {
+        "counts": {"da": 1, "nb": 0, "nn": 0, "sv": 1, "other": 1},
+        "total": 2,
+        "shares": {"da": 0.333333, "nb": 0.0, "nn": 0.0, "sv": 0.333333, "other": 0.333333},
+    }
+    assert [list(record[key]) for key in ("counts", "shares")] == [["da", "nb", "nn", "sv", "other"]] * 2
 
 
 def test_dataset_stats_empty():

@@ -1351,21 +1351,32 @@ def nan_last_weight(header, arrays):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, match",
     [
-        lambda header, arrays: header.update(threshold="0.5"),
+        (lambda header, arrays: header.update(threshold="0.5"), "threshold must be a real number"),
         # The same width as a float, so the array section still has the right size.
-        lambda header, arrays: header["featurizer"].update(embed_dim=8.0),
-        lambda header, arrays: header.update(threshold=True),
-        nan_last_weight,
+        (lambda header, arrays: header["featurizer"].update(embed_dim=8.0), "embed_dim must be int"),
+        (lambda header, arrays: header.update(threshold=True), "threshold must be a real number"),
+        (nan_last_weight, "b2 contains non-finite"),
+        (lambda header, arrays: header.update(hidden_size=32), "unsupported hidden size 32"),
+        (lambda header, arrays: header["label_order"].reverse(), "unexpected label order"),
+        (lambda header, arrays: arrays.extend(bytes(4)), "array section is"),
     ],
-    ids=["threshold-string", "embed-dim-float", "threshold-bool", "nan-weight"],
+    ids=[
+        "threshold-string",
+        "embed-dim-float",
+        "threshold-bool",
+        "nan-weight",
+        "hidden-size",
+        "label-order",
+        "array-length",
+    ],
 )
-def test_load_rejects_malformed_model_with_valid_crc(tmp_path, edit):
+def test_load_rejects_malformed_model_with_valid_crc(tmp_path, edit, match):
     path = tmp_path / "m.slfx"
     save_model(random_model(), path)
     rewrite_model_file(path, edit)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=match):
         load_model(path)
 
 

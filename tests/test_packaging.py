@@ -66,6 +66,24 @@ def test_only_ingest_and_model_import_json():
     assert importers <= {"ingest", "model"}, sorted(importers - {"ingest", "model"})
 
 
+def test_only_ingest_and_model_touch_files():
+    # ingest opens records and corpora, model its own file; every other
+    # module hands paths to them, so composing and augmenting stay free of I/O.
+    package = Path(__file__).parent.parent / "src" / "scandilid"
+    file_methods = {"open", "read_bytes", "read_text", "write_bytes", "write_text"}
+    callers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in file_methods
+            ):
+                callers.add(path.stem)
+    assert callers <= {"ingest", "model"}, sorted(callers - {"ingest", "model"})
+
+
 def test_only_core_tests_for_an_exact_int():
     # The exact-int rule (a bool is not an int) is core._check_int's alone.
     package = Path(__file__).parent.parent / "src" / "scandilid"

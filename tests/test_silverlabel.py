@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -73,6 +74,24 @@ def test_identity_translation_adds_target():
     assert out[0].text == d[0].text
     assert summary.matches == 1
     assert summary.added[Language.NB] == 1
+
+
+def test_extend_summary_to_dict_is_json_in_canonical_order():
+    records = [
+        TranslationRecord(1, Language.SV, "Vi ses i morgen."),
+        TranslationRecord(0, Language.NB, "Jeg har en plan."),
+        TranslationRecord(2, Language.NN, "Das ist deutsch."),
+    ]
+    _, summary = extend_labels(make_dataset(), records)
+    record = json.loads(json.dumps(summary.to_dict()))
+    assert record == {
+        "records_seen": 3,
+        "matches": 2,
+        "skipped_other": 1,
+        "added": {"da": 0, "nb": 1, "nn": 0, "sv": 1},
+    }
+    assert list(record["added"]) == ["da", "nb", "nn", "sv"]
+    assert ExtendSummary().to_dict()["added"] == {"da": 0, "nb": 0, "nn": 0, "sv": 0}
 
 
 def test_changed_translation_adds_nothing():
