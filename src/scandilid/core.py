@@ -135,6 +135,11 @@ class LabelSet:
         return LabelSet(self.languages | {lang})
 
 
+def _check_labels(value: LabelSet) -> None:
+    if not isinstance(value, LabelSet):
+        raise TypeError(f"labels must be a LabelSet, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LabeledSentence:
     """One sentence with its gold labels and optional provenance."""
@@ -145,8 +150,7 @@ class LabeledSentence:
 
     def __post_init__(self) -> None:
         _check_str("sentence text", self.text)
-        if not isinstance(self.labels, LabelSet):
-            raise TypeError(f"labels must be a LabelSet, got {self.labels!r}")
+        _check_labels(self.labels)
         if self.source is not None:
             _check_str("source", self.source)
         if not self.text.strip():

@@ -27,11 +27,23 @@ bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A gram's
 hash is then the state of the chain at its first byte after its last
 byte. A whole token's chain is finished from there byte by byte.
 
-Each numpy pass has a fixed cost (about 75 µs on a 2-CPU VM) however
-few tokens it hashes, so ``featurize_many`` takes its texts
+Gram positions come from templates: for a wrapped token of a given
+length, the (first character, n) of each of its grams in featurize
+order. A pass joins its tokens' templates and shifts each to where its
+token starts, so the grams are in order as built and nothing is sorted;
+characters are then mapped to byte offsets. Kept templates cost a pass
+less than building every gram's position afresh: tag-longtail read
+7,300 against 6,485 sentences/s (``BENCH_29.json``). Token lengths are
+the input's to choose, so templates are kept only for wrapped lengths up
+to ``_TEMPLATE_CHARS`` (64), at most ``_TEMPLATES`` (256) of them;
+longer tokens build theirs afresh.
+
+A pass makes the same few numpy calls however few tokens it hashes:
+it takes about 25 µs for one token and 48 µs for a sentence of eight
+new words (2-CPU VM, numpy 2.4). So ``featurize_many`` takes its texts
 ``_CHUNK_TEXTS`` (256) at a time and sends every uncached token of a
-chunk through one pass; training featurizes its corpus this way.
-Chunks bound the split tokens held at once.
+chunk through one pass; training featurizes its corpus this way. Chunks
+bound the split tokens held at once.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -94,50 +107,81 @@ _caches: dict[tuple[int, int, int, bool], tuple[dict[str, bytes], deque[str]]] =
 _cache_lock = threading.Lock()
 
 
+# Wrapped token lengths (in characters) whose gram templates are kept,
+# and how many templates are kept (see the module docstring).
+_TEMPLATE_CHARS = 64
+_TEMPLATES = 256
+
+
+def _grams(length: int, min_n: int, max_n: int) -> np.ndarray:
+    """(first character, n) of every gram of a wrapped token of `length`
+    characters, as the two rows of an int64 array, in featurize order:
+    n ascending, then start ascending."""
+    ns = np.arange(min_n, min(max_n, length) + 1)
+    counts = length + 1 - ns
+    n = ns.repeat(counts)
+    start = np.arange(n.size) - (counts.cumsum() - counts).repeat(counts)
+    grams = np.stack([start, n])
+    grams.flags.writeable = False  # kept and shared by every later pass
+    return grams
+
+
+_template = lru_cache(maxsize=_TEMPLATES)(_grams)
+
+
 def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     """Masked bucket ids of every token, each as int32 bytes in featurize order."""
-    lens = np.fromiter(map(len, tokens), np.int64, len(tokens)) + 2  # characters, wrapped
-    joined = "".join(f"<{t}>" for t in tokens).encode("utf-8")
+    lens = [len(t) + 2 for t in tokens]  # characters, wrapped
+    joined = ("<" + "><".join(tokens) + ">").encode("utf-8")
     size = len(joined)
     # Zero padding lets every chain take 4 * max_n steps, the most bytes an
     # n-gram can have; the first pad byte also marks where the last
     # character ends.
-    data = np.frombuffer(joined + bytes(4 * cfg.max_n), np.uint8).astype(np.uint64)
-    edges = np.flatnonzero((data[: size + 1] & 0xC0) != 0x80)  # character -> byte offset
-    tok_end = lens.cumsum()
-    tok_of_char = np.arange(len(tokens)).repeat(lens)
-    rest = tok_end[tok_of_char] - np.arange(tok_end[-1])  # characters left in the token
+    raw = np.frombuffer(joined + bytes(4 * cfg.max_n), np.uint8)
 
-    # Every n-gram as (n, first character), put in featurize order: token
-    # by token, then n ascending, then start ascending.
-    ns = np.arange(cfg.min_n, cfg.max_n + 1)
-    n_index, start = (rest >= ns[:, None]).nonzero()
-    tok = tok_of_char[start]
-    order = tok.argsort(kind="stable")
-    tok, n_index, start = tok[order], n_index[order], start[order]
-    first = edges[start]
-    span = edges[start + ns[n_index]] - first
+    # Every gram as (first character, n), in featurize order: each token's
+    # template, shifted to where the token starts.
+    templates = {
+        length: (_template if length <= _TEMPLATE_CHARS else _grams)(length, cfg.min_n, cfg.max_n)
+        for length in set(lens)
+    }
+    widths = {length: t.shape[1] for length, t in templates.items()}
+    counts = list(map(widths.__getitem__, lens))  # grams per token
+    grams = np.concatenate(list(map(templates.__getitem__, lens)), axis=1)
+    offsets = list(accumulate(lens, initial=0))  # each token's first character
+    grams[0] += np.repeat(np.array(offsets[:-1]), np.array(counts))
+    grams[1] += grams[0]  # each gram's first character and the one after it
+    edges = ((raw[: size + 1] & 0xC0) != 0x80).nonzero()[0]  # character -> byte offset
+    grams = edges[grams]
+    # index: each gram's state in `states` below, at row span (its bytes)
+    # and column first (its first byte).
+    first, index = grams
+    index -= first
+    steps = int(index.max()) if index.size else 0
+    index *= size
+    index += first
 
     # states[s, p]: the chain started at byte p after s bytes. Chains
     # start at every byte; those at continuation bytes are never read.
-    steps = int(span.max()) if span.size else 0
+    data = raw.astype(np.uint64)
     states = np.empty((steps + 1, size), np.uint64)
     states[0] = FNV_OFFSET
     for s in range(steps):
         row = states[s + 1]
-        np.bitwise_xor(states[s], data[s : s + size], out=row)
-        np.multiply(row, _PRIME, out=row)
+        # Positional `out`: a keyword costs more than the step's arithmetic.
+        np.bitwise_xor(states[s], data[s : s + size], row)
+        np.multiply(row, _PRIME, row)
     flat = states.ravel()
     mask = cfg.bucket_count - 1
-    buf = (flat[span * size + first] & np.uint64(mask)).astype(np.int32).tobytes()
-    bounds = (np.bincount(tok, minlength=len(tokens)).cumsum() * 4).tolist()
-    out = [buf[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+    buf = (flat[index] & np.uint64(mask)).astype(np.int32).tobytes()
+    bounds = list(accumulate(counts, initial=0))
+    out = [buf[4 * lo : 4 * hi] for lo, hi in zip(bounds, bounds[1:])]
     if cfg.include_word_unigrams:
         # A whole token continues its first byte's chain past the longest
         # n-gram: a few bytes per word, cheaper one token at a time than as
         # more steps over every chain.
-        ends = edges[tok_end].tolist()
-        for k, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+        offsets = edges[offsets].tolist()
+        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
             reach = min(hi - lo, steps)
             h = flat.item(reach * size + lo)
             for byte in joined[lo + reach : hi]:

@@ -43,6 +43,7 @@ from .core import (
     LabelSet,
     Language,
     _check_int,
+    _check_labels,
 )
 
 logger = logging.getLogger(__name__)
@@ -180,6 +181,7 @@ def write_dataset(dataset: Dataset, path: Path | str) -> None:
 def read_conllu(path: Path | str, labels: LabelSet) -> Dataset:
     """The file's ``# text =`` sentences (as ``parse_conllu``), each labeled
     ``labels`` with the path as its source."""
+    _check_labels(labels)
     texts = parse_conllu(_read_lines(path))
     return Dataset("unsplit", tuple(LabeledSentence(t, labels, str(path)) for t in texts))
 
@@ -187,6 +189,7 @@ def read_conllu(path: Path | str, labels: LabelSet) -> Dataset:
 def read_plaintext(path: Path | str, labels: LabelSet) -> Dataset:
     """The file's non-blank lines, one sentence each, labeled ``labels`` with
     the path as its source."""
+    _check_labels(labels)
     texts = [line.rstrip("\n") for line in _read_lines(path) if line.strip()]
     return Dataset("unsplit", tuple(LabeledSentence(t, labels, str(path)) for t in texts))
 

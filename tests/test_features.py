@@ -1,7 +1,9 @@
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,19 +79,81 @@ def test_gram_count_for_two_short_tokens():
     assert len(featurize("på hø", with_words)) == 16
 
 
-@given(
+# Texts whose tokens are drawn from 1- to 4-byte characters or from ASCII
+# only, each of up to 40 characters, so longer than the 4 * max_n bytes a
+# chain steps through; and strings with runs of spaces.
+TEXTS = st.one_of(
+    st.sampled_from(["abыæøå<>⟨€😀", "ab<>z"]).flatmap(
+        lambda alphabet: st.lists(st.text(alphabet=alphabet, min_size=1, max_size=40), max_size=6).map(" ".join)
+    ),
     st.text(alphabet="abыæøå <⟨€😀", max_size=40),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=0, max_value=3),
+)
+GRAM_RANGES = st.integers(min_value=1, max_value=8).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(min_value=lo, max_value=8))
+)
+
+
+@given(
+    st.lists(TEXTS, min_size=1, max_size=4),
+    GRAM_RANGES,
     st.booleans(),
 )
-def test_featurize_matches_brute_force_oracle(text, min_n, extra, include_word):
+def test_featurize_matches_brute_force_oracle(texts, gram_range, include_word):
+    # Every example starts from empty caches, so its tokens are hashed, not
+    # looked up; min_n above a token's wrapped length gives it no ids.
+    min_n, max_n = gram_range
     cfg = FeaturizerConfig(
         min_n=min_n,
-        max_n=min_n + extra,
+        max_n=max_n,
         bucket_count=1 << 12,
         include_word_unigrams=include_word,
     )
+    expected = [oracle_ids(text, cfg) for text in texts]
+    with mock.patch.dict(features._caches, clear=True):
+        assert [featurize(text, cfg).tolist() for text in texts] == expected
+    with mock.patch.dict(features._caches, clear=True):
+        assert [ids.tolist() for ids in featurize_many(texts, cfg)] == expected
+
+
+def test_a_cached_token_without_ids_beside_a_new_one(small_cache):
+    # "ab" wraps to 4 characters, fewer than min_n: its cached ids are b"".
+    cfg = FeaturizerConfig(min_n=5, max_n=6, include_word_unigrams=False)
+    assert featurize("ab", cfg).tolist() == []
+    for text in ("ab abcdef", "abcdefg ab", "ab ab xyzåø ab"):
+        assert featurize(text, cfg).tolist() == oracle_ids(text, cfg)
+    assert [ids.tolist() for ids in featurize_many(["ab", "ab abcdefgh"], cfg)] == [
+        [],
+        oracle_ids("ab abcdefgh", cfg),
+    ]
+
+
+def test_gram_templates_stay_bounded_whatever_the_token_lengths(small_cache):
+    # Token lengths are the input's to choose: 10,000 distinct ones, the
+    # last of 100,000 characters. Only templates of short tokens are kept,
+    # and at most _TEMPLATES of them.
+    features._template.cache_clear()
+    cfg = FeaturizerConfig(min_n=1, max_n=1, include_word_unigrams=False)
+    lengths = [*range(1, 10_000), 100_000]
+
+    def gram_count(batch: list[int]) -> int:
+        return len(featurize(" ".join("a" * length for length in batch), cfg))
+
+    tracemalloc.start()
+    try:
+        for lo in range(0, len(lengths), 25):
+            batch = lengths[lo : lo + 25]
+            assert gram_count(batch) == sum(batch) + 2 * len(batch)
+        small_cache.clear()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    info = features._template.cache_info()
+    assert info.currsize <= min(info.maxsize, features._TEMPLATE_CHARS)
+    # Kept templates of lengths up to 64 take 33 KiB here; keeping the last
+    # 256 lengths seen instead would hold 40 MB.
+    assert kept < 1 << 20
+    # A token with a kept template beside one whose template is built afresh.
+    text = "ab " + "c" * 70
     assert featurize(text, cfg).tolist() == oracle_ids(text, cfg)
 
 

@@ -185,6 +185,17 @@ def test_readers_reject_a_label_that_is_not_a_label_set(tmp_path):
             reader(p, "sv")
 
 
+@pytest.mark.parametrize("reader", [read_conllu, read_plaintext], ids=lambda r: r.__name__)
+def test_reader_rejects_a_label_that_is_not_a_label_set_on_an_empty_file(tmp_path, reader):
+    # The check comes before the file is read, so it does not wait for a
+    # sentence to build.
+    p = tmp_path / "empty.txt"
+    p.write_text("", encoding="utf-8")
+    with pytest.raises(TypeError, match="labels must be a LabelSet"):
+        reader(p, "sv")
+    assert len(reader(p, LabelSet.of("sv"))) == 0
+
+
 def test_line_ends_are_universal_newlines(tmp_path):
     p = tmp_path / "mixed.txt"
     p.write_bytes(b"hej\r\nder\rmed\n")
