@@ -13,19 +13,25 @@ token, then n ascending, then start ascending, with the whole token
 last.
 
 Natural text repeats tokens heavily, so ``featurize`` keeps, for each
-(min_n, max_n, bucket_count, include_word_unigrams), a cache of up to
+(min_n, max_n, bucket_count, include_word_unigrams), one dict of up to
 ``_CACHE_TOKENS`` (2^18) tokens, each mapped to its bucket ids as int32
-bytes: ``bucket_count`` is at most 2^31, so every id fits. A cache is a
-plain dict beside a deque of its tokens in insertion order; when it is
-full, its oldest token is evicted. Lookups take no lock. Inserting and
-evicting, the only writes, happen under one module lock, so the dict
-and the deque always hold the same tokens. The tokens of one call that
-miss the cache are hashed together in one numpy pass: an FNV-1a chain
-starts at every byte of the joined wrapped tokens, and all chains
-advance one byte per step, for as many steps as the longest n-gram has
-bytes (uint64 arithmetic wraps mod 2^64, as FNV-1a does). A gram's
-hash is then the state of the chain at its first byte after its last
-byte. A whole token's chain is finished from there byte by byte.
+bytes (``bucket_count`` is at most 2^31, so every id fits). Lookups
+take no lock. Under one module lock, a call's new tokens go in with one
+``update``, at most ``_CACHE_TOKENS`` of them, after emptying the dict
+if they would overfill it: a token in steady use is hashed once per
+fill. Evicting the oldest token per insertion instead churned the
+dict's table, which reclaims deleted entries only when it rebuilds, up
+to 2^20 slots (14.7 MB), beside a 2.1 MB deque of the tokens; an
+emptied dict stays within 2^19 slots (7.3 MB). Emptying frees up to
+2^18 entries in one call under the lock (about 14 ms per 2^18 tokens).
+
+The tokens of one call that miss the cache are hashed together in one
+numpy pass: an FNV-1a chain starts at every byte of the joined wrapped
+tokens, and all chains advance one byte per step, for as many steps as
+the longest n-gram has bytes (uint64 arithmetic wraps mod 2^64, as
+FNV-1a does). A gram's hash is then the state of the chain at its first
+byte after its last byte. A whole token's chain is finished from there
+byte by byte.
 
 Gram positions come from templates: for a wrapped token of a given
 length, the (first character, n) of each of its grams in featurize
@@ -50,10 +56,9 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -101,9 +106,8 @@ class FeaturizerConfig:
 
 # Tokens kept per featurizer configuration.
 _CACHE_TOKENS = 1 << 18
-# Per configuration: each cached token's ids, and the cached tokens
-# oldest first.
-_caches: dict[tuple[int, int, int, bool], tuple[dict[str, bytes], deque[str]]] = {}
+# Per configuration: each cached token's ids.
+_caches: dict[tuple[int, int, int, bool], dict[str, bytes]] = {}
 _cache_lock = threading.Lock()
 
 
@@ -194,26 +198,20 @@ def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     """Each token's bucket ids as int32 bytes. The tokens missing from the
     cache are hashed together in one pass and inserted into it."""
     key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
-    entry = _caches.get(key)
-    if entry is None:
-        entry = _caches.setdefault(key, ({}, deque()))
-    cache, order = entry
+    cache = _caches.get(key)
+    if cache is None:
+        cache = _caches.setdefault(key, {})
     # Each token's ids are read once, here, and fresh ids are used as
-    # hashed: another thread, or this insertion, may evict them.
+    # hashed: another thread, or this insertion, may empty the cache.
     parts = list(map(cache.get, tokens))
     if None in parts:
         missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
         fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
         parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
         with _cache_lock:
-            # Another thread may have cached a token since the lookup; a
-            # token enters the queue once, so the queue is the dict's keys.
-            for token, ids in fresh.items():
-                if token not in cache:
-                    cache[token] = ids
-                    order.append(token)
-            while len(order) > _CACHE_TOKENS:
-                del cache[order.popleft()]
+            if len(cache) + len(fresh) > _CACHE_TOKENS:
+                cache.clear()
+            cache.update(islice(fresh.items(), _CACHE_TOKENS))
     return parts
 
 

@@ -207,7 +207,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:  # a view of C-contiguous `arr` n
 
 def head_parameter_count(cfg: FeaturizerConfig) -> int:
     """Head size implied by a featurizer config, without building a model."""
-    return sum(int(np.prod(shape)) for shape in _shapes(cfg)[1:])
+    return sum(math.prod(shape) for shape in _shapes(cfg)[1:])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -615,7 +615,7 @@ def load_model(path: Path | str) -> FastModel:
         raise ModelFormatError(f"{path}: unexpected label order {label_order}")
 
     shapes = _shapes(fcfg)
-    counts = [int(np.prod(s)) for s in shapes]
+    counts = [math.prod(s) for s in shapes]  # exact: np.prod wraps in int64
     array_bytes = len(data) - 4 - header_end
     if array_bytes != 4 * sum(counts):
         raise ModelFormatError(

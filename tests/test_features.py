@@ -246,18 +246,51 @@ def test_cache_never_exceeds_capacity(small_cache):
     cfg = FeaturizerConfig()
     for i in range(50):
         featurize(" ".join(f"ord{i}x{j}" for j in range(7)), cfg)
-        assert all(len(cache) <= 64 for cache, _ in small_cache.values())
-    assert len(small_cache[(1, 4, 1 << 18, True)][0]) == 64
+        assert all(len(cache) <= 64 for cache in small_cache.values())
 
 
 def test_evicted_token_returns_identical_ids(small_cache):
     cfg = FeaturizerConfig()
     first = featurize("første ⟨num⟩ 😀", cfg).tolist()
     featurize(" ".join(f"fyll{i}" for i in range(200)), cfg)
-    cache, order = small_cache[(1, 4, 1 << 18, True)]
-    assert "første" not in cache and "første" not in order
+    assert "første" not in small_cache[(1, 4, 1 << 18, True)]
     assert featurize("første ⟨num⟩ 😀", cfg).tolist() == first
     assert first == oracle_ids("første ⟨num⟩ 😀", cfg)
+
+
+def test_one_call_with_more_new_tokens_than_the_cache_holds(small_cache):
+    cfg = FeaturizerConfig()
+    text = " ".join(f"mange{i}" for i in range(150))
+    for _ in ("cold", "warm"):
+        assert featurize(text, cfg).tolist() == oracle_ids(text, cfg)
+        assert len(small_cache[(1, 4, 1 << 18, True)]) <= 64
+
+
+def test_repeating_the_last_call_after_a_fill_hashes_nothing(small_cache, monkeypatch):
+    cfg = FeaturizerConfig()
+    hash_tokens, hashed = features._hash_tokens, []
+
+    def counted(tokens, cfg):
+        hashed.append(tokens)
+        return hash_tokens(tokens, cfg)
+
+    monkeypatch.setattr(features, "_hash_tokens", counted)
+    for i in range(30):  # 210 new tokens: the cache fills and is emptied
+        text = " ".join(f"fyll{i}x{j}" for j in range(7))
+        ids = featurize(text, cfg).tolist()
+    assert len(hashed) == 30
+    assert featurize(text, cfg).tolist() == ids == oracle_ids(text, cfg)
+    assert len(hashed) == 30
+
+
+def test_a_churned_cache_is_no_larger_than_one_filled_once(small_cache):
+    # A dict reclaims deleted entries only when it rebuilds, so evicting a
+    # token per insertion grows its table past what its tokens need.
+    cfg = FeaturizerConfig()
+    for i in range(40):  # 280 new tokens, over 3x the capacity
+        featurize(" ".join(f"churn{i}x{j}" for j in range(7)), cfg)
+    once = {f"token{k}": b"" for k in range(64)}  # inserted one by one
+    assert sys.getsizeof(small_cache[(1, 4, 1 << 18, True)]) <= sys.getsizeof(once)
 
 
 def test_configs_differing_in_bucket_count_never_share_entries(small_cache):
@@ -292,7 +325,7 @@ def test_serving_ids_are_featurize_as_a_read_only_int32_view(small_cache):
 
 def test_featurize_many_matches_featurize_and_oracle(small_cache):
     # Three chunks of texts; each chunk holds over 100 distinct tokens, so
-    # the 64-token cache evicts inside it. Empty texts and repeated tokens
+    # the 64-token cache is emptied inside it. Empty texts and repeated tokens
     # included.
     cfg = FeaturizerConfig()
     texts = [" ".join(f"ord{i % 37}ø{j} igjen igjen" for j in range(i % 4)) for i in range(600)]
@@ -303,13 +336,14 @@ def test_featurize_many_matches_featurize_and_oracle(small_cache):
         assert all(ids.dtype == np.int64 for ids in got)
         assert [ids.tolist() for ids in got] == expected
         assert [featurize(text, cfg).tolist() for text in texts] == expected
-    assert len(small_cache[(1, 4, 1 << 18, True)][0]) == 64
+    assert len(small_cache[(1, 4, 1 << 18, True)]) <= 64
     assert featurize_many([], cfg) == []
 
 
 def test_concurrent_featurize_with_evicting_cache(small_cache, monkeypatch):
     # Four threads share a 64-token cache and keep filling it with new
-    # tokens, so tokens a call looked up are evicted before it joins them.
+    # tokens, so it is emptied while other threads look tokens up, and
+    # tokens a call looked up are gone before it joins them.
     # Two threads call featurize_many, in chunks of 16 texts that
     # interleave with the other threads' calls.
     monkeypatch.setattr(features, "_CHUNK_TEXTS", 16)
@@ -319,6 +353,15 @@ def test_concurrent_featurize_with_evicting_cache(small_cache, monkeypatch):
     ]
     expected = {text: oracle_ids(text, cfg) for text in texts}
     errors = []
+
+    class CountedClears(dict):
+        clears = 0
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    cache = small_cache[(1, 4, 1 << 18, True)] = CountedClears()
 
     def work(offset):
         try:
@@ -340,8 +383,6 @@ def test_concurrent_featurize_with_evicting_cache(small_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # A lost or doubled insertion would leave the queue and the dict
-    # holding different tokens, or the queue holding one token twice.
-    for cache, order in small_cache.values():
-        assert len(order) == len(set(order)) == len(cache) <= 64
-        assert set(order) == cache.keys()
+    # Each of the 18 full chunks brings 96 new tokens, so each empties it.
+    assert cache.clears >= 18 and len(cache) <= 64
+    assert all(ids == np.array(oracle_ids(token, cfg), np.int32).tobytes() for token, ids in cache.items())

@@ -1350,6 +1350,13 @@ def nan_last_weight(header, arrays):
     arrays[-4:] = struct.pack("<f", math.nan)
 
 
+def overflowing_embed_dim(header, arrays):
+    # (64 + 64) * 2**58 table and w1 floats wrap to 0 in int64, so only
+    # the other arrays' 324 floats are left for the file to hold.
+    header["featurizer"]["embed_dim"] = 2**58
+    del arrays[4 * 324 :]
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
@@ -1361,6 +1368,7 @@ def nan_last_weight(header, arrays):
         (lambda header, arrays: header.update(hidden_size=32), "unsupported hidden size 32"),
         (lambda header, arrays: header["label_order"].reverse(), "unexpected label order"),
         (lambda header, arrays: arrays.extend(bytes(4)), "array section is"),
+        (overflowing_embed_dim, "array section is 1296 bytes"),
     ],
     ids=[
         "threshold-string",
@@ -1370,6 +1378,7 @@ def nan_last_weight(header, arrays):
         "hidden-size",
         "label-order",
         "array-length",
+        "embed-dim-overflow",
     ],
 )
 def test_load_rejects_malformed_model_with_valid_crc(tmp_path, edit, match):

@@ -99,6 +99,18 @@ def test_only_core_tests_for_an_exact_int():
     assert checkers <= {"core"}, sorted(checkers - {"core"})
 
 
+def test_only_features_names_the_token_cache():
+    # The cache's policy and capacity stay behind one module.
+    package = Path(__file__).parent.parent / "src" / "scandilid"
+    namers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in {"_caches", "_CACHE_TOKENS"}:
+                namers.add(path.stem)
+    assert namers <= {"features"}, sorted(namers - {"features"})
+
+
 FAILING_AND_PASSING = """
 from hypothesis import given, strategies as st
 
