@@ -15,50 +15,53 @@ last.
 Natural text repeats tokens heavily, so ``featurize`` keeps, for each
 (min_n, max_n, bucket_count, include_word_unigrams), one dict of up to
 ``_CACHE_TOKENS`` (2^18) tokens, each mapped to its bucket ids as int32
-bytes (``bucket_count`` is at most 2^31, so every id fits). Lookups
-take no lock. Under one module lock, a call's new tokens go in with one
-``update``, at most ``_CACHE_TOKENS`` of them, after emptying the dict
-if they would overfill it: a token in steady use is hashed once per
-fill. Evicting the oldest token per insertion instead churned the
-dict's table, which reclaims deleted entries only when it rebuilds, up
-to 2^20 slots (14.7 MB), beside a 2.1 MB deque of the tokens; an
-emptied dict stays within 2^19 slots (7.3 MB). Emptying frees up to
-2^18 entries in one call under the lock (about 14 ms per 2^18 tokens).
+bytes. Lookups take no lock. Under one module lock, a call's new tokens
+go in with one ``update``, at most ``_CACHE_TOKENS`` of them, after
+emptying the dict if they would overfill it (about 14 ms per 2^18
+tokens): a token in steady use is hashed once per fill. Evicting the
+oldest token per insertion instead churned the dict's table up to 2^20
+slots (14.7 MB), beside a 2.1 MB deque of the tokens; an emptied dict
+stays within 2^19 slots (7.3 MB).
 
 The tokens of one call that miss the cache are hashed together in one
 numpy pass: an FNV-1a chain starts at every byte of the joined wrapped
 tokens, and all chains advance one byte per step, for as many steps as
-the longest n-gram has bytes (uint64 arithmetic wraps mod 2^64, as
-FNV-1a does). A gram's hash is then the state of the chain at its first
-byte after its last byte. A whole token's chain is finished from there
-byte by byte.
+the longest character n-gram has bytes. A gram's hash is then the state
+of the chain at its first byte after its last byte. Chains run on
+uint32 lanes, from the low 32 bits of the offset basis and of the prime
+(0x1B3). The ids are still 64-bit FNV-1a's: an id keeps only a hash's
+low k bits (k <= 31), XOR acts bit by bit and a product mod 2^k depends
+only on its factors mod 2^k, so a state's low k bits depend only on
+the low k bits before it. A whole token is one more gram that stops
+with the longest n-gram's state; Python finishes it byte by byte, on
+ints masked to ``bucket_count - 1``.
 
 Gram positions come from templates: for a wrapped token of a given
-length, the (first character, n) of each of its grams in featurize
-order. A pass joins its tokens' templates and shifts each to where its
-token starts, so the grams are in order as built and nothing is sorted;
-characters are then mapped to byte offsets. Kept templates cost a pass
-less than building every gram's position afresh: tag-longtail read
-7,300 against 6,485 sentences/s (``BENCH_29.json``). Token lengths are
-the input's to choose, so templates are kept only for wrapped lengths up
-to ``_TEMPLATE_CHARS`` (64), at most ``_TEMPLATES`` (256) of them;
-longer tokens build theirs afresh.
+length, the (first character, character after the last) of each of its
+grams in featurize order, the whole token in a last column. A pass
+joins its tokens' templates and shifts each to where its token starts,
+so the grams are in order as built and nothing is sorted; characters
+are then mapped to byte offsets. Kept templates cost a pass less than
+building every gram's position afresh (``BENCH_29.json``). Token
+lengths are the input's to choose, so templates are kept only for
+wrapped lengths up to ``_TEMPLATE_CHARS`` (64), at most ``_TEMPLATES``
+(256) of them; longer tokens build theirs afresh.
 
 A pass makes the same few numpy calls however few tokens it hashes:
-it takes about 25 µs for one token and 48 µs for a sentence of eight
-new words (2-CPU VM, numpy 2.4). So ``featurize_many`` takes its texts
-``_CHUNK_TEXTS`` (256) at a time and sends every uncached token of a
-chunk through one pass; training featurizes its corpus this way. Chunks
+about 35 µs for one token and 57 µs, 10 of them for whole tokens, for a
+tag-longtail sentence of 8.4 new words (2-CPU VM, numpy 2.4). So
+``featurize_many`` sends every uncached token of ``_CHUNK_TEXTS`` (256)
+texts through one pass; training featurizes its corpus this way. Chunks
 bound the split tokens held at once.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice, pairwise, repeat
+from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -67,8 +70,7 @@ from .core import _check_int
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_PRIME = np.uint64(FNV_PRIME)
+_PRIME = np.uint32(FNV_PRIME & 0xFFFFFFFF)  # 0x1B3: see the module docstring
 
 # Embedding width that puts the classifier head (two dense layers over
 # `model.HIDDEN_SIZE`'s 64-unit bottleneck) at exactly 20,932 parameters,
@@ -117,15 +119,18 @@ _TEMPLATE_CHARS = 64
 _TEMPLATES = 256
 
 
-def _grams(length: int, min_n: int, max_n: int) -> np.ndarray:
-    """(first character, n) of every gram of a wrapped token of `length`
-    characters, as the two rows of an int64 array, in featurize order:
-    n ascending, then start ascending."""
+def _grams(length: int, min_n: int, max_n: int, whole: bool) -> np.ndarray:
+    """(first character, character after the last) of every gram of a
+    wrapped token of `length` characters, as the two rows of an int64
+    array, in featurize order: n ascending, then start ascending, then
+    the whole token if `whole`."""
     ns = np.arange(min_n, min(max_n, length) + 1)
     counts = length + 1 - ns
     n = ns.repeat(counts)
     start = np.arange(n.size) - (counts.cumsum() - counts).repeat(counts)
-    grams = np.stack([start, n])
+    grams = np.stack([start, start + n])
+    if whole:
+        grams = np.c_[grams, (0, length)]
     grams.flags.writeable = False  # kept and shared by every later pass
     return grams
 
@@ -138,76 +143,72 @@ def _hash_tokens(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     lens = [len(t) + 2 for t in tokens]  # characters, wrapped
     joined = ("<" + "><".join(tokens) + ">").encode("utf-8")
     size = len(joined)
-    # Zero padding lets every chain take 4 * max_n steps, the most bytes an
-    # n-gram can have; the first pad byte also marks where the last
-    # character ends.
+    # Zero padding lets every chain take 4 * max_n steps, an n-gram's most
+    # bytes; the first pad byte also marks where the last character ends.
     raw = np.frombuffer(joined + bytes(4 * cfg.max_n), np.uint8)
 
-    # Every gram as (first character, n), in featurize order: each token's
-    # template, shifted to where the token starts.
-    templates = {
-        length: (_template if length <= _TEMPLATE_CHARS else _grams)(length, cfg.min_n, cfg.max_n)
-        for length in set(lens)
-    }
+    # Every gram in featurize order: each token's template, shifted to
+    # where the token starts, then mapped from characters to bytes.
+    args = cfg.min_n, cfg.max_n, cfg.include_word_unigrams
+    templates = {n: (_template if n <= _TEMPLATE_CHARS else _grams)(n, *args) for n in set(lens)}
     widths = {length: t.shape[1] for length, t in templates.items()}
     counts = list(map(widths.__getitem__, lens))  # grams per token
     grams = np.concatenate(list(map(templates.__getitem__, lens)), axis=1)
-    offsets = list(accumulate(lens, initial=0))  # each token's first character
-    grams[0] += np.repeat(np.array(offsets[:-1]), np.array(counts))
-    grams[1] += grams[0]  # each gram's first character and the one after it
+    grams += np.repeat(np.array(list(accumulate(lens[:-1], initial=0))), np.array(counts))
     edges = ((raw[: size + 1] & 0xC0) != 0x80).nonzero()[0]  # character -> byte offset
     grams = edges[grams]
     # index: each gram's state in `states` below, at row span (its bytes)
-    # and column first (its first byte).
+    # and column first (its first byte). A whole token, its template's
+    # last column, reaches only as far as the longest character gram.
     first, index = grams
     index -= first
+    bounds = list(accumulate(counts, initial=0))
+    whole = np.array(bounds[1:] if cfg.include_word_unigrams else [], np.intp) - 1
+    spans = index[whole]
+    index[whole] = 0
     steps = int(index.max()) if index.size else 0
+    reach = index[whole] = np.minimum(spans, steps)
     index *= size
     index += first
 
-    # states[s, p]: the chain started at byte p after s bytes. Chains
-    # start at every byte; those at continuation bytes are never read.
-    data = raw.astype(np.uint64)
-    states = np.empty((steps + 1, size), np.uint64)
-    states[0] = FNV_OFFSET
+    # states[s, p]: the low 32 bits of the chain started at byte p after s
+    # bytes. Chains at continuation bytes are never read.
+    data = raw.astype(np.uint32)
+    states = np.empty((steps + 1, size), np.uint32)
+    states[0] = FNV_OFFSET & 0xFFFFFFFF
     for s in range(steps):
         row = states[s + 1]
         # Positional `out`: a keyword costs more than the step's arithmetic.
         np.bitwise_xor(states[s], data[s : s + size], row)
         np.multiply(row, _PRIME, row)
-    flat = states.ravel()
     mask = cfg.bucket_count - 1
-    buf = (flat[index] & np.uint64(mask)).astype(np.int32).tobytes()
-    bounds = list(accumulate(counts, initial=0))
-    out = [buf[4 * lo : 4 * hi] for lo, hi in zip(bounds, bounds[1:])]
-    if cfg.include_word_unigrams:
-        # A whole token continues its first byte's chain past the longest
-        # n-gram: a few bytes per word, cheaper one token at a time than as
-        # more steps over every chain.
-        offsets = edges[offsets].tolist()
-        for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            reach = min(hi - lo, steps)
-            h = flat.item(reach * size + lo)
-            for byte in joined[lo + reach : hi]:
-                h = ((h ^ byte) * FNV_PRIME) & _MASK64
-            out[k] += (h & mask).to_bytes(4, sys.byteorder)
-    return out
+    ids = states.ravel()[index]
+    ids &= mask
+    # Each whole token continues its chain from there, a few bytes per
+    # word, on ints below bucket_count.
+    prime, tails = int(_PRIME), []
+    for h, lo, r, n in zip(ids[whole].tolist(), first[whole].tolist(), reach.tolist(), spans.tolist()):
+        for byte in joined[lo + r : lo + n]:
+            h = ((h ^ byte) * prime) & mask
+        tails.append(h)
+    ids[whole] = tails
+    # Every id is below 2^31: these are its int32 bytes.
+    buf = ids.tobytes()
+    return [buf[4 * lo : 4 * hi] for lo, hi in pairwise(bounds)]
 
 
 def _token_ids(tokens: list[str], cfg: FeaturizerConfig) -> list[bytes]:
     """Each token's bucket ids as int32 bytes. The tokens missing from the
     cache are hashed together in one pass and inserted into it."""
     key = (cfg.min_n, cfg.max_n, cfg.bucket_count, cfg.include_word_unigrams)
-    cache = _caches.get(key)
-    if cache is None:
-        cache = _caches.setdefault(key, {})
+    cache = _caches.get(key) or _caches.setdefault(key, {})
     # Each token's ids are read once, here, and fresh ids are used as
     # hashed: another thread, or this insertion, may empty the cache.
     parts = list(map(cache.get, tokens))
     if None in parts:
-        missing = list(dict.fromkeys(t for t, p in zip(tokens, parts) if p is None))
+        missing = list(dict.fromkeys(compress(tokens, map(is_, parts, repeat(None)))))
         fresh = dict(zip(missing, _hash_tokens(missing, cfg)))
-        parts = [fresh[t] if p is None else p for t, p in zip(tokens, parts)]
+        parts = list(map(fresh.get, tokens, parts))
         with _cache_lock:
             if len(cache) + len(fresh) > _CACHE_TOKENS:
                 cache.clear()
@@ -245,7 +246,6 @@ def featurize_many(texts: Sequence[str], cfg: FeaturizerConfig) -> list[np.ndarr
     for lo in range(0, len(texts), _CHUNK_TEXTS):
         split = [text.split() for text in texts[lo : lo + _CHUNK_TEXTS]]
         parts = _token_ids([token for tokens in split for token in tokens], cfg)
-        ends = list(accumulate(map(len, split)))
-        for start, end in zip([0] + ends[:-1], ends):
+        for start, end in pairwise(accumulate(map(len, split), initial=0)):
             out.append(np.frombuffer(b"".join(parts[start:end]), np.int32).astype(np.int64))
     return out

@@ -408,6 +408,7 @@ class EvalPoint:
     epoch: int
     train_loss: float
     metric: float
+    alive_units: int  # hidden units positive on at least one validation sentence
 
 
 @dataclass
@@ -422,10 +423,11 @@ class TrainResult:
 
 
 def _validation_metric(params: Sequence[np.ndarray], feats: Sequence[np.ndarray], y: np.ndarray,
-                       threshold: float) -> float:
-    e = _pool_all(params[0], feats)
-    accept = _probabilities(_layers(params, e)[1]) >= threshold
-    return float(np.all(accept == (y == 1.0), axis=1).mean())
+                       threshold: float) -> tuple[float, int]:
+    """Exact match on the validation set, and the hidden units alive on it."""
+    h, z = _layers(params, _pool_all(params[0], feats))
+    accept = _probabilities(z) >= threshold
+    return float(np.all(accept == (y == 1.0), axis=1).mean()), int(np.count_nonzero(h.any(axis=0)))
 
 
 @np.errstate(over="ignore")
@@ -453,7 +455,9 @@ def train(
     ``valid_set`` and the best-scoring checkpoint is kept; training
     stops early after ``patience`` evaluations without improvement
     (``stopped_early``), and a best checkpoint at the last evaluation
-    logs a warning: the run may not have converged. With an empty
+    logs a warning: the run may not have converged. So does a best
+    checkpoint whose hidden units are all dead, zero on every
+    validation sentence (``EvalPoint.alive_units``). With an empty
     ``valid_set`` the final weights are returned, with ``best_metric``
     NaN. Only embedding rows that some gram addresses are held in
     float64; the others keep their initial values. Texts are featurized
@@ -517,9 +521,9 @@ def train(
         _scatter_add(emb, ids, lengths, -lr * len(batch) * rows)
 
         if len(valid_set) and (step % tcfg.eval_interval == 0 or step == last_step):
-            metric = _validation_metric(params, vfeats, vy, threshold)
+            metric, alive = _validation_metric(params, vfeats, vy, threshold)
             train_loss = float(np.mean(losses[history[-1].step if history else 0 :]))
-            history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric))
+            history.append(EvalPoint(step=step, epoch=epoch, train_loss=train_loss, metric=metric, alive_units=alive))
             if len(history) == 1 or metric > best_metric:
                 best_metric = metric
                 best_step = step
@@ -535,8 +539,12 @@ def train(
     epoch_losses = [float(np.mean(losses[i : i + len(starts)])) for i in range(0, len(losses), len(starts))]
     if not history:  # no validation set
         _checkpoint(params, best, touched, len(losses))
-    elif best_step == history[-1].step:
-        logger.warning("best checkpoint is the last evaluation, step %d: the run may not have converged", best_step)
+    else:
+        if best_step == history[-1].step:
+            logger.warning("best checkpoint is the last evaluation, step %d: the run may not have converged", best_step)
+        if next(p for p in history if p.step == best_step).alive_units == 0:
+            logger.warning("every hidden unit is dead at the best checkpoint, step %d: "
+                           "it answers every validation text alike", best_step)
     return TrainResult(
         model=FastModel(fcfg, *(_HandedOver(_read_only(a)) for a in best), threshold=threshold),
         history=history,

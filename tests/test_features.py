@@ -96,16 +96,19 @@ GRAM_RANGES = st.integers(min_value=1, max_value=8).flatmap(
 @given(
     st.lists(TEXTS, min_size=1, max_size=4),
     GRAM_RANGES,
+    st.integers(min_value=0, max_value=31),
     st.booleans(),
 )
-def test_featurize_matches_brute_force_oracle(texts, gram_range, include_word):
+def test_featurize_matches_brute_force_oracle(texts, gram_range, log_buckets, include_word):
     # Every example starts from empty caches, so its tokens are hashed, not
     # looked up; min_n above a token's wrapped length gives it no ids.
+    # Bucket counts run from 1 (a mask of 0) to 2^31 (a mask of 31 bits),
+    # the edges of hashing on 32-bit lanes.
     min_n, max_n = gram_range
     cfg = FeaturizerConfig(
         min_n=min_n,
         max_n=max_n,
-        bucket_count=1 << 12,
+        bucket_count=1 << log_buckets,
         include_word_unigrams=include_word,
     )
     expected = [oracle_ids(text, cfg) for text in texts]
@@ -125,6 +128,37 @@ def test_a_cached_token_without_ids_beside_a_new_one(small_cache):
         [],
         oracle_ids("ab abcdefgh", cfg),
     ]
+
+
+@pytest.mark.parametrize(
+    "text, min_n, max_n",
+    [
+        # "ab" wraps to 4 characters, fewer than min_n: its only id is the
+        # whole token's, beside tokens with character grams.
+        ("ab abcdef ab", 5, 6),
+        # Only such tokens: the pass runs no chain step, and every whole
+        # token is hashed from the offset basis.
+        ("ab a æø 😀", 5, 8),
+        ("a", 4, 4),
+        # "<ab>" has 4 bytes, the 4 steps of the longest 4-gram: the chain
+        # reaches its end and its tail is empty. "<a>" is shorter than the
+        # chain, and "<abcdefgh>" has a tail of 6 bytes.
+        ("ab a abcdefgh", 1, 4),
+        # "<æøå" takes 7 steps, as many as "<abcde>" has bytes; "<æøå>" has
+        # a tail of one byte.
+        ("æøå abcde", 1, 4),
+        ("æ", 1, 1),
+        # A token repeated within one call.
+        ("hej hej med hej dig med", 1, 4),
+    ],
+)
+def test_whole_token_column_matches_oracle(small_cache, text, min_n, max_n):
+    cfg = FeaturizerConfig(min_n=min_n, max_n=max_n, include_word_unigrams=True)
+    expected = oracle_ids(text, cfg)
+    assert featurize(text, cfg).tolist() == expected
+    small_cache.clear()
+    assert [ids.tolist() for ids in featurize_many([text, text], cfg)] == [expected, expected]
+    assert featurize(text, cfg).tolist() == expected  # from the cache
 
 
 def test_gram_templates_stay_bounded_whatever_the_token_lengths(small_cache):

@@ -51,7 +51,7 @@ from scandilid.model import (
     _targets,
     _validation_metric,
 )
-from scandilid.synthetic import SHARED_ALPHABET, generate_shared_alphabet_corpus
+from scandilid.synthetic import SHARED_ALPHABET, generate_shared_alphabet_corpus, generate_shared_vocabulary_corpus
 
 
 def small_config(**overrides):
@@ -564,7 +564,7 @@ def test_exact_match_counts_what_decoded_label_sets_count():
         gold = [d if rng.random() < 0.5 else choices[rng.integers(len(choices))] for d in decoded]
         hits = sum(d == g for d, g in zip(decoded, gold))
         y = _targets([LabeledSentence("x", g) for g in gold])
-        assert _validation_metric(params, feats, y, threshold) == hits / len(gold)
+        assert _validation_metric(params, feats, y, threshold)[0] == hits / len(gold)
         assert 0 < hits < len(gold)
         saw_other |= any(d.is_other for d in decoded)
     assert saw_other
@@ -583,7 +583,7 @@ def test_validation_decides_as_predict_does_where_the_clip_decides(threshold, lo
     params[4][:] = logit
     assert predict(FastModel(cfg, *params, threshold=threshold), "x") == served
     y = _targets([LabeledSentence("x", served)])
-    assert _validation_metric(params, [featurize("x", cfg)], y, threshold) == 1.0
+    assert _validation_metric(params, [featurize("x", cfg)], y, threshold) == (1.0, 0)  # zero weights: no unit alive
 
 
 def two_branch_sigmoid(z):
@@ -866,6 +866,26 @@ def test_training_warns_when_the_best_checkpoint_is_the_last_evaluation(tiny_cor
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert record.getMessage() == "best checkpoint is the last evaluation, step 41: the run may not have converged"
+
+
+@pytest.mark.parametrize("embed_dim, epochs, alive", [(32, 4, 0), (8, 16, 22)])
+def test_training_warns_when_every_hidden_unit_is_dead(embed_dim, epochs, alive, caplog):
+    # The claim corpus on source labels: at width 32 every ReLU unit dies
+    # and the model answers every validation text alike; at width 8 units
+    # survive. Both counts hold under the default, Haswell and Prescott
+    # kernels.
+    corpus = generate_shared_vocabulary_corpus(1800, 1000, seed=1)
+    fit = corpus.train.with_items(corpus.train.items[:1500])
+    valid = corpus.train.with_items(corpus.train.items[1500:])
+    fcfg = FeaturizerConfig(bucket_count=1 << 16, embed_dim=embed_dim)
+    with caplog.at_level(logging.WARNING, logger="scandilid.model"):
+        result = train(fit, valid, fcfg, TrainConfig(epochs=epochs))
+    [best] = [p for p in result.history if p.step == result.best_step]
+    assert best.alive_units == alive
+    assert all(0 <= p.alive_units <= model_module.HIDDEN_SIZE for p in result.history)
+    dead = [r.getMessage() for r in caplog.records if "every hidden unit is dead" in r.getMessage()]
+    assert dead == ([f"every hidden unit is dead at the best checkpoint, step {best.step}: "
+                     "it answers every validation text alike"] if alive == 0 else [])
 
 
 @pytest.mark.parametrize(
